@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, IllPosedFrequencyError
 from .fourier import FourierSeries
-from .meyer import MeyerSpec, frequency_set, scaling_frequency_set
+from .meyer import MeyerSpec, frequency_set, needed_band
 from .noise import NoiseModel, sample_paths
 
 __all__ = [
@@ -206,20 +206,17 @@ def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarra
     tab_u = np.asarray(kernel.table_u, dtype=float)
     tab_m = np.asarray(kernel.table_m, dtype=int)
     g = np.asarray(kernel.table_g, dtype=complex).reshape(len(tab_m), len(tab_u))
-    cols = np.empty(len(u), dtype=int)
-    for i, ui in enumerate(u):
-        j = int(np.argmin(np.abs(tab_u - ui)))
-        if abs(tab_u[j] - ui) > 1e-9 * max(1.0, abs(ui)):
-            raise ConfigError(f"kernel table has no column for u = {ui}")
-        cols[i] = j
-    rows = np.empty(len(m), dtype=int)
-    index = {int(mm): i for i, mm in enumerate(tab_m)}
-    for i, mi in enumerate(m):
-        try:
-            rows[i] = index[int(mi)]
-        except KeyError:
-            raise ConfigError(f"kernel table has no row for m = {int(mi)}") from None
-    return g[np.ix_(rows, cols)].T  # (len(u), len(m))
+    cols = np.argmin(np.abs(tab_u[None, :] - u[:, None]), axis=1)
+    no_col = np.abs(tab_u[cols] - u) > 1e-9 * np.maximum(1.0, np.abs(u))
+    if no_col.any():
+        raise ConfigError(f"kernel table has no column for u = {u[np.argmax(no_col)]}")
+    # a stable sort keeps repeated m in table order, so the last such row wins
+    order = np.argsort(tab_m, kind="stable")
+    pos = np.searchsorted(tab_m[order], m, side="right") - 1
+    no_row = (pos < 0) | (tab_m[order[pos]] != m)
+    if no_row.any():
+        raise ConfigError(f"kernel table has no row for m = {int(m[np.argmax(no_row)])}")
+    return g[np.ix_(order[pos], cols)].T  # (len(u), len(m))
 
 
 def simulate_observations(f: FourierSeries, design: ChannelDesign,
@@ -366,10 +363,7 @@ def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> K
 def design_functionals(design: ChannelDesign, kernel: BlurKernel,
                        spec: MeyerSpec) -> DesignFunctionals:
     """Tabulate tau_kappa over the band needed by ``spec`` and delta_kappa per level."""
-    band = int(np.abs(scaling_frequency_set(spec, spec.j0).members).max())
-    for j in spec.detail_levels:
-        band = max(band, int(np.abs(frequency_set(spec, j).members).max()))
-    m = np.arange(1, band + 1)
+    m = np.arange(1, needed_band(spec) + 1)
     t1 = tau_kappa(design, kernel, m, 1)
     t2 = tau_kappa(design, kernel, m, 2)
     t4 = tau_kappa(design, kernel, m, 4)

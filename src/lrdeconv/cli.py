@@ -33,12 +33,12 @@ from .config import (
     eigencheck_models,
     load_config,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DegenerateFitError, NumericError
 from .estimator import block_partition, choose_levels, estimate, threshold_value
-from .fourier import coeffs_to_grid
-from .meyer import MeyerSpec, analyze, scaling_frequency_set, frequency_set
+from .fourier import FourierSeries, coeffs_to_grid
+from .meyer import MeyerSpec, analyze, needed_band
 from .noise import toeplitz_eigen_bounds
-from .riskbench import besov_seminorm, fit_rate, mc_risk
+from .riskbench import besov_seminorm, fit_rate, mc_risk, theoretical_rate
 
 FMT = "%.17g"
 
@@ -202,7 +202,7 @@ def _bench_plan(cfg: RunConfig, est_cfg) -> list[str]:
             lams = "(linear estimator, no detail levels)"
         else:
             lams = " ".join(
-                f"lambda_{j}={threshold_value(j, n_star, design.n, est_cfg):.3e}"
+                f"lambda_{j}={threshold_value(j, n_star, est_cfg):.3e}"
                 for j in range(j0, J)
             )
         lines.append(
@@ -222,20 +222,21 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     kernel = build_kernel(cfg)
     truth = build_truth(cfg)
     ball = build_ball(cfg) if cfg.bench.get("ball") else None
+    fc = None if ball is None else theoretical_rate(
+        ball, est_cfg.nu, est_cfg.lambda1, est_cfg.alpha1, est_cfg.beta)
     reps = int(cfg.bench.get("reps", 100))
     report = mc_risk(truth, lambda n: design_for_n(cfg, n), kernel, est_cfg,
                      [int(n) for n in cfg.bench["n_grid"]], reps, seed,
-                     ball=ball, nu=est_cfg.nu, threads=args.threads)
+                     threads=args.threads)
     regressor = cfg.bench.get("regressor", "log_nstar")
     try:
         slope, slope_se, r2 = fit_rate(report, regressor)
-    except NumericError:
-        slope = slope_se = r2 = float("nan")
+        no_fit = None
+    except DegenerateFitError as exc:
+        slope = slope_se = r2 = None
+        no_fit = str(exc)
 
-    seminorm = None
-    if ball is not None:
-        seminorm = _truth_seminorm(truth, ball)
-        report.seminorm = seminorm
+    seminorm = None if ball is None else _truth_seminorm(truth, ball)
 
     header = _header(cfg, "bench", seed)
     _write_table(out / "risk_report.csv", header,
@@ -260,12 +261,12 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         "reps": reps,
         "seed": seed,
     }
-    if report.forecast is not None:
+    if fc is not None:
         meta["forecast"] = {
-            "regime": report.forecast.regime,
-            "exponent": report.forecast.exponent,
-            "log_exponent": report.forecast.log_exponent,
-            "rho": report.forecast.rho,
+            "regime": fc.regime,
+            "exponent": fc.exponent,
+            "log_exponent": fc.log_exponent,
+            "rho": fc.rho,
         }
     if seminorm is not None:
         meta["ball"] = {"s": ball.s, "p": ball.p, "q": ball.q, "radius": ball.radius}
@@ -274,18 +275,21 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
-    lines = [f"experiment {cfg.experiment}: fitted slope of log risk vs {regressor} "
-             f"= {slope:.4f} (se {slope_se:.4f}, R^2 {r2:.3f})"]
-    if report.forecast is not None:
-        fc = report.forecast
+    if no_fit is None:
+        lines = [f"experiment {cfg.experiment}: fitted slope of log risk vs {regressor} "
+                 f"= {slope:.4f} (se {slope_se:.4f}, R^2 {r2:.3f})"]
+    else:
+        lines = [f"experiment {cfg.experiment}: no rate fitted: {no_fit}"]
+    if fc is not None:
         if fc.regime == "supersmooth":
             lines.append(f"forecast ({fc.regime}): risk ~ (ln n*)^(-{fc.log_exponent:.4f})")
-            if regressor == "log_log_nstar":
+            if regressor == "log_log_nstar" and no_fit is None:
                 lines.append(f"slope gap: {slope + fc.log_exponent:+.4f}")
         else:
             lines.append(f"forecast ({fc.regime}): risk ~ (n*)^(-{fc.exponent:.4f}), "
                          f"target slope -{fc.exponent:.4f}")
-            lines.append(f"slope gap: {slope + fc.exponent:+.4f}")
+            if no_fit is None:
+                lines.append(f"slope gap: {slope + fc.exponent:+.4f}")
     if seminorm is not None:
         lines.append(f"besov certificate: seminorm {seminorm['value']:.4f} "
                      f"(levels {seminorm['j0']}..{seminorm['J']}) vs radius {ball.radius}")
@@ -299,12 +303,7 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
 def _truth_seminorm(truth, ball) -> dict:
     J = max(4, int(math.ceil(math.log2(max(3 * truth.band, 2)))) + 1)
     spec = MeyerSpec(3, J)
-    need = max(
-        int(np.abs(scaling_frequency_set(spec, 3).members).max()),
-        max(int(np.abs(frequency_set(spec, j).members).max()) for j in spec.detail_levels),
-    )
-    from .fourier import FourierSeries
-
+    need = needed_band(spec)
     padded = np.zeros(2 * need + 1, dtype=complex)
     padded[need - truth.band: need + truth.band + 1] = truth.values
     coeffs = analyze(FourierSeries(need, padded), spec)

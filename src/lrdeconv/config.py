@@ -17,7 +17,7 @@ import yaml
 
 from .channels import BlurKernel, ChannelDesign, epsilon_n, load_kernel_table
 from .errors import ConfigError
-from .estimator import EstimatorConfig
+from .estimator import EstimatorConfig, choose_levels
 from .fourier import FourierSeries
 from .noise import NoiseModel
 from .riskbench import BesovBall, make_test_function
@@ -193,20 +193,27 @@ def validate_config(cfg: RunConfig):
             raise ConfigError("truth.band must be >= 0")
 
     _check_keys(cfg.estimator, {"mu", "nu", "lambda1", "alpha1", "beta",
-                                "denom_tol", "level_override", "h1"}, "estimator")
-    build_estimator_config(cfg)  # raises on violations
+                                "denom_tol", "level_override"}, "estimator")
+    est = build_estimator_config(cfg)  # raises on violations
+    sizes = [cfg.design["n"]] if cfg.design.get("n") is not None else []
 
     if cfg.bench is not None:
         _check_keys(cfg.bench, {"n_grid", "reps", "ball", "regressor"}, "bench")
         n_grid = _require(cfg.bench, "n_grid", "bench")
         if len(n_grid) < 1:
             raise ConfigError("bench.n_grid must be nonempty")
+        sizes += n_grid
         if int(cfg.bench.get("reps", 100)) < 30:
             raise ConfigError("bench.reps must be >= 30")
         if cfg.bench.get("regressor", "log_nstar") not in ("log_nstar", "log_log_nstar"):
             raise ConfigError("bench.regressor must be log_nstar or log_log_nstar")
         if cfg.bench.get("ball"):
             build_ball(cfg)
+
+    if est.level_override is not None:
+        for n in sizes:
+            design = design_for_n(cfg, int(n))
+            choose_levels(epsilon_n(design)[1], est, design.N)  # raises above the band
 
     if cfg.eigencheck is not None:
         _check_keys(cfg.eigencheck, {"models", "n_list"}, "eigencheck")
@@ -340,7 +347,6 @@ def build_estimator_config(cfg: RunConfig) -> EstimatorConfig:
         beta=float(est.get("beta", 1.0)),
         denom_tol=float(est.get("denom_tol", 1e-12)),
         level_override=override,
-        h1=est.get("h1"),
     )
 
 

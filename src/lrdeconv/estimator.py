@@ -20,7 +20,7 @@ and in the super-smooth regime (alpha1 > 0) a linear estimator at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class EstimatorConfig:
     beta: float = 1.0
     denom_tol: float = 1e-12
     level_override: tuple | None = None
-    h1: float | None = None
     aux_poly: str = "poly7"
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class EstimatorConfig:
             j0, J = self.level_override
             if not 0 <= j0 <= J:
                 raise ConfigError("level_override must satisfy 0 <= j0 <= J")
-        if self.h1 is not None and not 0.0 < self.h1 < 1.0:
-            raise ConfigError("h1 must lie in (0, 1)")
 
     @property
     def supersmooth(self) -> bool:
@@ -166,11 +163,23 @@ def choose_levels(n_star: float, config: EstimatorConfig,
                   N: int | None = None) -> tuple[int, int, list]:
     """Coarsest/finest levels (j0, J) from n*; J is exclusive.
 
+    ``config.level_override`` wins when set; with N given, an override whose
+    J exceeds log2 N - 1 raises ConfigError, since the basis at such a level
+    reads frequencies above the per-channel band N/2 - 1.
     Regular regime: j0 = round(log2 ln n*), J = floor(log2 (n*)^(1/(2 nu + 1))).
     Super-smooth: 2^j0 = (3/8 pi)(ln n* / (2 alpha1))^(1/beta) rounded to the
     nearest level and J = j0 (linear estimator only).  Levels are clamped so
     every needed frequency stays below the per-channel Nyquist band.
     """
+    j_cap = None if N is None else int(math.log2(N)) - 1
+    if config.level_override is not None:
+        j0, J = config.level_override
+        if j_cap is not None and J > j_cap:
+            raise ConfigError(
+                f"level_override J = {J} exceeds log2 N - 1 = {j_cap} at N = {N}: "
+                f"the basis would need frequencies above the band N/2 - 1 = {N // 2 - 1}"
+            )
+        return j0, J, []
     if not n_star > math.e:
         raise ConfigError(f"n_star must exceed e for a level choice, got {n_star}")
     warnings: list[str] = []
@@ -187,18 +196,16 @@ def choose_levels(n_star: float, config: EstimatorConfig,
     else:
         j0 = _round_half_up(math.log2(log_ns))
         J = int(math.floor(math.log2(n_star) / (2.0 * config.nu + 1.0) + 1e-12))
-    if N is not None:
-        j_cap = int(math.log2(N)) - 1
-        if J > j_cap:
-            warnings.append(f"J clamped from {J} to {j_cap} by the N = {N} frequency band")
-            J = j_cap
+    if j_cap is not None and J > j_cap:
+        warnings.append(f"J clamped from {J} to {j_cap} by the N = {N} frequency band")
+        J = j_cap
     if j0 > J:
         warnings.append(f"j0 = {j0} exceeds J = {J}; clamped (estimator is linear)")
         j0 = J
     return j0, J, warnings
 
 
-def threshold_value(j: int, n_star: float, n: int, config: EstimatorConfig) -> float:
+def threshold_value(j: int, n_star: float, config: EstimatorConfig) -> float:
     """lambda_j = mu^2 (n*)^-1 ln(n*) 2^(2 nu j) j^lambda1, with 0^lambda1 := 1."""
     if config.supersmooth:
         raise ConfigError("thresholds are undefined in the super-smooth regime")
@@ -226,7 +233,7 @@ def block_threshold(coeffs_hat: WaveletCoefficients, n: int, n_star: float,
     out = coeffs_hat.copy()
     decisions: list[ThresholdDecision] = []
     for j in range(coeffs_hat.j0, coeffs_hat.J):
-        lam = threshold_value(j, n_star, n, config)
+        lam = threshold_value(j, n_star, config)
         part = block_partition(j, n)
         vec = out.detail[j]
         for r, (start, stop) in zip(part.r_indices, part.blocks):
@@ -243,11 +250,7 @@ def estimate(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     """Full pipeline: deconvolve, analyze, threshold (regular regime), synthesize."""
     eps, n_star = epsilon_n(design)
     diag = EstimateDiagnostics(epsilon_n=eps, n_star=n_star)
-    if config.level_override is not None:
-        j0, J = config.level_override
-    else:
-        j0, J, warns = choose_levels(n_star, config, N=design.N)
-        diag.warnings.extend(warns)
+    j0, J, diag.warnings = choose_levels(n_star, config, N=design.N)
     diag.j0, diag.J = j0, J
 
     f_hat, ill_posed = fourier_deconvolve(y, design, kernel, config.denom_tol)
@@ -314,15 +317,13 @@ def calibrate_mu(design: ChannelDesign, kernel: BlurKernel, config: EstimatorCon
     """Smallest mu on ``grid`` whose null-block false-keep rate is <= the target.
 
     Pilot simulation with f = 0: all block energies are pure noise, so kept
-    blocks are false keeps by construction.
+    blocks are false keeps by construction.  A configuration that ``estimate``
+    does not threshold keeps no block, so it gets the smallest mu.
     """
     f0 = FourierSeries.zeros(1)
-    eps, n_star = epsilon_n(design)
-    if config.level_override is not None:
-        j0, J = config.level_override
-    else:
-        j0, J, _ = choose_levels(n_star, config, N=design.N)
-    if J <= j0:
+    _, n_star = epsilon_n(design)
+    j0, J, _ = choose_levels(n_star, config, N=design.N)
+    if config.supersmooth or J <= j0:
         return min(grid)
     spec = MeyerSpec(j0, J, config.aux_poly)
     energies: dict[int, list] = {j: [] for j in range(j0, J)}
@@ -330,19 +331,14 @@ def calibrate_mu(design: ChannelDesign, kernel: BlurKernel, config: EstimatorCon
         y = simulate_observations(f0, design, kernel,
                                   np.random.SeedSequence(seed, spawn_key=(rep,)))
         f_hat, _ = fourier_deconvolve(y, design, kernel, config.denom_tol)
-        coeffs = analyze(f_hat, spec)
-        for j in range(j0, J):
-            part = block_partition(j, design.n)
-            vec = coeffs.detail[j]
-            energies[j].extend(
-                float(np.sum(np.abs(vec[s:e]) ** 2)) for s, e in part.blocks
-            )
+        _, decisions = block_threshold(analyze(f_hat, spec), design.n, n_star, config)
+        for d in decisions:
+            energies[d.level].append(d.energy)
     for mu in sorted(grid):
-        trial = EstimatorConfig(mu=mu, nu=config.nu, lambda1=config.lambda1,
-                                denom_tol=config.denom_tol, aux_poly=config.aux_poly)
+        trial = replace(config, mu=mu)
         false_keeps = total = 0
         for j, vals in energies.items():
-            lam = threshold_value(j, n_star, design.n, trial)
+            lam = threshold_value(j, n_star, trial)
             false_keeps += sum(v >= lam for v in vals)
             total += len(vals)
         if total and false_keeps / total <= max_false_keep:

@@ -34,6 +34,7 @@ __all__ = [
     "periodized_coeff",
     "frequency_set",
     "scaling_frequency_set",
+    "needed_band",
     "analyze",
     "synthesize",
     "synthesize_series",
@@ -209,12 +210,12 @@ def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") 
     return out if out.shape else complex(out)
 
 
-def _needed_band(spec: MeyerSpec) -> int:
-    top = scaling_frequency_set(spec, spec.j0).members
-    best = int(np.abs(top).max())
+def needed_band(spec: MeyerSpec) -> int:
+    """Largest |m| over the level-j0 scaling set and the detail sets j0 <= j < J:
+    the band that analysis reads and synthesis writes."""
+    best = int(np.abs(scaling_frequency_set(spec, spec.j0).members).max())
     for j in spec.detail_levels:
-        members = frequency_set(spec, j).members
-        best = max(best, int(np.abs(members).max()))
+        best = max(best, int(np.abs(frequency_set(spec, j).members).max()))
     return best
 
 
@@ -224,7 +225,7 @@ def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
     The k-sums collapse to inverse FFTs of length 2^j after grouping
     frequencies by residue m mod 2^j.
     """
-    band = _needed_band(spec)
+    band = needed_band(spec)
     if band > f.band:
         raise MissingFrequencyError(
             f"analysis needs |m| <= {band} but only |m| <= {f.band} available"
@@ -247,7 +248,7 @@ def synthesize_series(coeffs: WaveletCoefficients, spec: MeyerSpec | None = None
     """Fourier coefficients of the truncated expansion sum a phi + sum b psi."""
     if spec is None:
         spec = MeyerSpec(coeffs.j0, coeffs.J, coeffs.aux_poly)
-    band = _needed_band(spec)
+    band = needed_band(spec)
     values = np.zeros(2 * band + 1, dtype=complex)
 
     def add_level(j: int, vec: np.ndarray, kind: str):

@@ -9,8 +9,9 @@ Three families are supported, all with spectral density behaving like
 * ``fgn``    -- fractional Gaussian noise with Hurst index H = d + 1/2.
 
 Exact sampling uses circulant embedding of the Toeplitz covariance
-(Davies-Harte); a dense Cholesky fallback covers the rare embeddings with a
-negative spectrum.
+(Davies-Harte).  The embedding is nonnegative for FARIMA(0, d, 0) and fGn
+with 0 <= d < 1/2 (Craigmile, 2003); a covariance whose embedding spectrum
+falls below -NEG_TOL * gamma(0) raises NumericError instead of being sampled.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ __all__ = [
     "toeplitz_eigen_bounds",
 ]
 
-# Embedding spectra below -NEG_TOL * gamma(0) trigger the Cholesky fallback.
+# Embedding spectra below -NEG_TOL * gamma(0) reject the embedding.
 NEG_TOL = 1e-10
-CHOLESKY_LIMIT = 2 ** 14
 DENSE_EIGEN_LIMIT = 4096
 
 
@@ -168,10 +168,10 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4096)
 def _embedding_spectrum(model: NoiseModel, n_points: int):
-    """FFT spectrum of the circulant embedding of size 2(N-1), or None.
+    """FFT spectrum of the circulant embedding of size m = 2(N-1) (1 for N = 1).
 
-    Returns (sqrt(spectrum / m), m) when the embedding is nonnegative
-    (entries below -NEG_TOL * gamma(0) reject it), otherwise None.
+    Returns (sqrt(spectrum / m), m); raises NumericError when an entry of the
+    spectrum lies below -NEG_TOL * gamma(0).
     """
     if n_points == 1:
         gamma0 = float(autocovariance(model, 0))
@@ -181,19 +181,12 @@ def _embedding_spectrum(model: NoiseModel, n_points: int):
     m = c.size  # 2 (N - 1)
     eigs = np.fft.fft(c).real
     if eigs.min() < -NEG_TOL * gamma[0]:
-        return None
-    return np.sqrt(np.clip(eigs, 0.0, None) / m), m
-
-
-@functools.lru_cache(maxsize=64)
-def _cholesky_factor(model: NoiseModel, n_points: int) -> np.ndarray:
-    if n_points > CHOLESKY_LIMIT:
-        raise SizeLimitError(
-            f"circulant embedding failed and N = {n_points} exceeds the "
-            f"Cholesky fallback limit {CHOLESKY_LIMIT}"
+        raise NumericError(
+            f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
+            f"N = {n_points} has spectrum {eigs.min():.3g} < -{NEG_TOL:g} gamma(0); "
+            "the covariance cannot be sampled exactly"
         )
-    gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
-    return linalg.cholesky(linalg.toeplitz(gamma), lower=True)
+    return np.sqrt(np.clip(eigs, 0.0, None) / m), m
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -227,15 +220,8 @@ def sample_path(model: NoiseModel, n_points: int, seed) -> np.ndarray:
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
     rng = np.random.default_rng(_as_seed_sequence(seed))
-    emb = _embedding_spectrum(model, n_points)
-    if emb is not None:
-        sqrt_spec, m = emb
-        if n_points == 1:
-            return sqrt_spec * rng.standard_normal(1)
-        xi = _draw_embedding_normals(rng, m)
-        return np.fft.fft(sqrt_spec * xi).real[:n_points]
-    chol = _cholesky_factor(model, n_points)
-    return chol @ rng.standard_normal(n_points)
+    sqrt_spec, m = _embedding_spectrum(model, n_points)
+    return np.fft.fft(sqrt_spec * _draw_embedding_normals(rng, m)).real[:n_points]
 
 
 def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
@@ -245,27 +231,14 @@ def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
     SeedSequence(master_seed, spawn_key=(l,)), so results are identical
     whether rows are produced jointly (batched FFT) or one at a time.
     """
-    models = list(models)
     root = _as_seed_sequence(master_seed)
-
-    def row_seed(i: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(root.entropy, spawn_key=tuple(root.spawn_key) + (i,))
-
     embs = [_embedding_spectrum(mod, n_points) for mod in models]
-    out = np.empty((len(models), n_points))
-    batch_rows = [i for i, e in enumerate(embs) if e is not None and n_points > 1]
-    if batch_rows:
-        m = embs[batch_rows[0]][1]
-        weighted = np.empty((len(batch_rows), m), dtype=complex)
-        for row, i in enumerate(batch_rows):
-            rng = np.random.default_rng(row_seed(i))
-            weighted[row] = embs[i][0] * _draw_embedding_normals(rng, m)
-        out[batch_rows] = np.fft.fft(weighted, axis=1).real[:, :n_points]
-    for i, e in enumerate(embs):
-        if i in batch_rows:
-            continue
-        out[i] = sample_path(models[i], n_points, row_seed(i))
-    return out
+    weighted = np.empty((len(embs), embs[0][1] if embs else 1), dtype=complex)
+    for i, (sqrt_spec, m) in enumerate(embs):
+        seed = np.random.SeedSequence(root.entropy, spawn_key=tuple(root.spawn_key) + (i,))
+        weighted[i] = sqrt_spec * _draw_embedding_normals(np.random.default_rng(seed), m)
+    # a copy, so the caller does not keep the embedding-length complex FFT alive
+    return np.fft.fft(weighted, axis=1).real[:, :n_points].copy()
 
 
 def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary:

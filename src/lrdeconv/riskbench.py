@@ -80,12 +80,6 @@ class RateForecast:
 @dataclass
 class RiskReport:
     rows: list = field(default_factory=list)  # (n, M, N, n_star, mean, se, reps)
-    fitted_slope: float | None = None
-    fitted_se: float | None = None
-    r_squared: float | None = None
-    forecast: RateForecast | None = None
-    seminorm: float | None = None
-    ball: BesovBall | None = None
 
     def column(self, name: str) -> np.ndarray:
         idx = {"n": 0, "M": 1, "N": 2, "n_star": 3, "risk_mean": 4, "risk_se": 5, "reps": 6}[name]
@@ -175,8 +169,7 @@ def make_test_function(name: str, band: int, params: dict | None = None) -> Four
 
 
 def theoretical_rate(ball: BesovBall, nu: float, lambda1: float = 0.0,
-                     lambda2: float = 0.0, alpha1: float = 0.0,
-                     beta: float = 1.0) -> RateForecast:
+                     alpha1: float = 0.0, beta: float = 1.0) -> RateForecast:
     """Risk-decay forecast for the three regimes.
 
     Super-smooth (alpha1 > 0): risk ~ (ln n*)^(-2 s*/beta).
@@ -215,8 +208,7 @@ def theoretical_rate(ball: BesovBall, nu: float, lambda1: float = 0.0,
 
 def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
             kernel: BlurKernel, config: EstimatorConfig, n_grid,
-            reps: int, master_seed: int, ball: BesovBall | None = None,
-            nu: float | None = None, threads: int = 1) -> RiskReport:
+            reps: int, master_seed: int, threads: int = 1) -> RiskReport:
     """Monte Carlo L2 risk over a sample-size grid.
 
     Replicate rep at sample count n uses seed
@@ -226,7 +218,7 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
     """
     if reps < 30:
         raise ConfigError("reps must be >= 30")
-    report = RiskReport(ball=ball)
+    report = RiskReport()
     for n in n_grid:
         design = design_for_n(int(n))
         if design.n != int(n):
@@ -250,15 +242,6 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
         mean = float(risks.mean())
         se = float(risks.std(ddof=1) / math.sqrt(reps))
         report.rows.append((int(n), design.M, design.N, n_star, mean, se, reps))
-
-    if ball is not None and nu is not None:
-        report.forecast = theoretical_rate(ball, nu, config.lambda1,
-                                           config.lambda1, config.alpha1, config.beta)
-    try:
-        slope, se_slope, r2 = fit_rate(report, "log_nstar")
-        report.fitted_slope, report.fitted_se, report.r_squared = slope, se_slope, r2
-    except DegenerateFitError:
-        pass
     return report
 
 

@@ -44,7 +44,7 @@ from lrdeconv.estimator import (
 from lrdeconv.fourier import FourierSeries
 from lrdeconv.meyer import MeyerSpec, analyze, frequency_set, periodized_coeff
 from lrdeconv.noise import NoiseModel, spectral_density, toeplitz_eigen_bounds
-from lrdeconv.riskbench import mc_risk
+from lrdeconv.riskbench import fit_rate, mc_risk
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -216,14 +216,13 @@ class TestCriterion5RegularRate:
         kernel = build_kernel(cfg)
         report = mc_risk(truth, lambda n: design_for_n(cfg, n), kernel, est,
                          [int(n) for n in cfg.bench["n_grid"]],
-                         reps=int(cfg.bench["reps"]), master_seed=cfg.seed,
-                         ball=build_ball(cfg), nu=est.nu)
-        slope = report.fitted_slope
+                         reps=int(cfg.bench["reps"]), master_seed=cfg.seed)
+        slope, slope_se, _ = fit_rate(report, "log_nstar")
         target = -4.0 / 9.0
         ok = abs(slope - target) <= 0.15
         record_acceptance("5 regular-case rate", ok,
                           f"slope {slope:.3f} vs -2s/(2s+5) = {target:.3f} "
-                          f"(tol 0.15, se {report.fitted_se:.3f})")
+                          f"(tol 0.15, se {slope_se:.3f})")
         assert ok, report.rows
 
 
@@ -240,7 +239,6 @@ class TestCriterion6SupersmoothInsensitivity:
                 truth, lambda n: design_for_n(cfg, n), kernel, est,
                 [int(n) for n in cfg.bench["n_grid"]],
                 reps=int(cfg.bench["reps"]), master_seed=cfg.seed,
-                ball=ball, nu=est.nu,
             ))
 
         r2s = {}
@@ -289,8 +287,7 @@ class TestCriterion7IidLimit:
             levels_n = choose_levels(float(n), cfg, N=design.N)
             ok &= levels_star == levels_n
             for j in range(levels_star[0], max(levels_star[1], levels_star[0] + 3)):
-                ok &= threshold_value(j, n_star, n, cfg) == threshold_value(
-                    j, float(n), n, cfg)
+                ok &= threshold_value(j, n_star, cfg) == threshold_value(j, float(n), cfg)
         record_acceptance("7 iid limit", ok,
                           "eps_n = 1, n* = n exactly; level/threshold rules "
                           "coincide on 20 random configs")

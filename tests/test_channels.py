@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import boxcar_linear_design
 from lrdeconv.channels import (
@@ -97,6 +99,72 @@ class TestKernelFourier:
             kernel_fourier(kernel, 0.3, 0)
         with pytest.raises(ConfigError):
             kernel_fourier(kernel, 0.2, 5)
+
+
+def table_lookup_loop(kernel, u, m):
+    """Element-by-element table lookup: the reference for the array version."""
+    tab_u = np.asarray(kernel.table_u, dtype=float)
+    tab_m = np.asarray(kernel.table_m, dtype=int)
+    g = np.asarray(kernel.table_g, dtype=complex).reshape(len(tab_m), len(tab_u))
+    cols = np.empty(len(u), dtype=int)
+    for i, ui in enumerate(u):
+        j = int(np.argmin(np.abs(tab_u - ui)))
+        if abs(tab_u[j] - ui) > 1e-9 * max(1.0, abs(ui)):
+            raise ConfigError(f"kernel table has no column for u = {ui}")
+        cols[i] = j
+    rows = np.empty(len(m), dtype=int)
+    index = {int(mm): i for i, mm in enumerate(tab_m)}
+    for i, mi in enumerate(m):
+        try:
+            rows[i] = index[int(mi)]
+        except KeyError:
+            raise ConfigError(f"kernel table has no row for m = {int(mi)}") from None
+    return g[np.ix_(rows, cols)].T
+
+
+def table_kernel(m_rows, u_cols, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(m_rows), len(u_cols))
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return BlurKernel("table", table_m=tuple(m_rows), table_u=tuple(u_cols),
+                      table_g=tuple(g.ravel().tolist()))
+
+
+def lookup_outcome(fn, kernel, u, m):
+    try:
+        out = fn(kernel, np.asarray(u, dtype=float), np.asarray(m, dtype=int))
+    except ConfigError as exc:
+        return "error", str(exc)
+    return out.shape, out.tobytes()
+
+
+class TestTableLookup:
+    """kernel_fourier on a table kernel gives, bit for bit, what the loop gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_loop(self, data):
+        m_rows = data.draw(st.lists(st.integers(-30, 30), min_size=1, max_size=40))
+        u_cols = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True))
+        kernel = table_kernel(m_rows, u_cols, data.draw(st.integers(0, 2 ** 32 - 1)))
+        u = data.draw(st.lists(st.sampled_from(u_cols), min_size=1, max_size=6))
+        m = data.draw(st.lists(st.sampled_from(m_rows) | st.integers(-35, 35), max_size=50))
+        assert (lookup_outcome(kernel_fourier, kernel, u, m)
+                == lookup_outcome(table_lookup_loop, kernel, u, m))
+
+    def test_unsorted_rows_and_missing_entries(self):
+        kernel = table_kernel([5, -3, 0, 7, -3, 2], [0.75, 0.25, 0.5], seed=3)
+        u = [0.25, 0.75, 0.5, 0.25]
+        m = [7, -3, 0, 2, 5, -3, 7]
+        got = lookup_outcome(kernel_fourier, kernel, u, m)
+        assert got == lookup_outcome(table_lookup_loop, kernel, u, m)
+        # a repeated m resolves to its last row
+        g = np.asarray(kernel.table_g).reshape(6, 3)
+        assert kernel_fourier(kernel, np.array([0.75]), np.array([-3]))[0, 0] == g[4, 0]
+        for bad_u, bad_m in (([0.25, 0.3], m), (u, [0, 4, 6]), (u, [-4])):
+            want = lookup_outcome(table_lookup_loop, kernel, bad_u, bad_m)
+            assert want[0] == "error"
+            assert lookup_outcome(kernel_fourier, kernel, bad_u, bad_m) == want
 
 
 class TestSimulateObservations:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lrdeconv.channels import save_kernel_table
 from lrdeconv.cli import main
 from lrdeconv.config import (
     config_hash,
@@ -79,6 +80,33 @@ estimator:
   mu: 0.0
   nu: 2.0
   level_override: [3, 7]
+"""
+
+
+FINE_CONFIG = """\
+experiment: fine
+seed: 1
+output_dir: {out}
+design:
+  n: 16384
+  m_rule: fixed
+  M: 4
+  u_rule: {{kind: equispaced, a: 0.0, b: 1.0}}
+  d_rule: {{kind: constant, value: 0.1}}
+noise:
+  kind: farima
+  scale: 1.0
+kernel:
+  kind: table
+  table_path: {table}
+truth:
+  kind: smooth_sine
+  band: 8
+  params: {{freq: 3}}
+estimator:
+  mu: 1.0
+  nu: 0.5
+  level_override: [3, 11]
 """
 
 
@@ -205,7 +233,51 @@ class TestSimulateEstimate:
         assert not out.exists()
 
 
+class TestLevelOverride:
+    def test_override_above_the_band_exits_1(self, tmp_path, capsys):
+        # M = 4 channels of N = 4096 and a table kernel: J may be at most 11
+        m = np.arange(-2047, 2048)
+        u = [0.25, 0.5, 0.75, 1.0]
+        save_kernel_table(tmp_path / "kernel.txt", m, u,
+                          np.outer((1.0 + np.abs(m)) ** -0.5, np.ones(len(u))))
+        text = FINE_CONFIG.replace("{table}", str(tmp_path / "kernel.txt"))
+        path, _ = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(path)]) == 0
+        bad, _ = write_config(tmp_path, text.replace("[3, 11]", "[3, 12]"), name="bad.yaml")
+        capsys.readouterr()
+        for command in ("simulate", "estimate"):
+            assert main([command, "--config", str(bad)]) == 1
+            assert "level_override J = 12" in capsys.readouterr().err
+
+    def test_estimate_dry_run_prints_the_override(self, capsys):
+        config = Path(__file__).resolve().parent.parent / "configs" / "noiseless-exact.yaml"
+        assert main(["estimate", "--config", str(config), "--dry-run"]) == 0
+        assert "j0=3 J=7" in capsys.readouterr().out
+
+
 class TestBenchCommand:
+    def test_no_fit_writes_null(self, tmp_path, capsys):
+        # two grid points: too few for a rate fit, but the risks are valid
+        config = Path(__file__).resolve().parent.parent / "configs" / "noiseless-exact.yaml"
+        text = config.read_text().replace("scale: 1.0e-300", "scale: 1.0")
+        text += "bench:\n  n_grid: [1024, 2048]\n  reps: 30\n"
+        path = tmp_path / "two-point.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+
+        def no_constants(name):
+            raise ValueError(f"risk_meta.json holds {name}")
+
+        meta = json.loads((out / "risk_meta.json").read_text(), parse_constant=no_constants)
+        assert meta["fitted_slope"] is None
+        assert meta["fitted_slope_se"] is None and meta["r_squared"] is None
+        summary = (out / "summary.txt").read_text()
+        assert "no rate fitted" in summary and "at least 4 grid points" in summary
+        rows = [l for l in (out / "risk_report.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert len(rows) == 3
+
     def test_bench_outputs(self, tmp_path):
         path, out = write_config(tmp_path, BASE_CONFIG)
         assert main(["bench", "--config", str(path)]) == 0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import boxcar_linear_design
 from lrdeconv.channels import (
@@ -111,29 +113,63 @@ class TestChooseLevels:
         with pytest.raises(ConfigError):
             choose_levels(2.0, EstimatorConfig())
 
+    def test_override_wins_and_is_capped_by_the_band(self):
+        cfg = EstimatorConfig(nu=2.0, level_override=(3, 7))
+        assert choose_levels(2.0, cfg) == (3, 7, [])
+        assert choose_levels(2.0 ** 20, cfg, N=256) == (3, 7, [])
+        with pytest.raises(ConfigError, match="level_override"):
+            choose_levels(2.0 ** 20, cfg, N=128)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 9),
+        M=st.integers(1, 4),
+        d=st.floats(0.0, 0.49),
+        nu=st.floats(0.25, 3.0),
+        alpha1=st.sampled_from([0.0, 0.01, 0.3, 2.0]),
+        beta=st.floats(0.5, 3.0),
+        override=st.none() | st.tuples(st.integers(0, 10), st.integers(0, 10)).map(
+            lambda p: (min(p), max(p))),
+    )
+    def test_estimate_runs_the_chosen_levels(self, k, M, d, nu, alpha1, beta, override):
+        N = 2 ** k
+        model = NoiseModel.farima(d) if d > 0 else NoiseModel.white()
+        design = ChannelDesign((0.0,) * M, (d,) * M, N, (model,) * M)
+        cfg = EstimatorConfig(nu=nu, alpha1=alpha1, beta=beta, level_override=override)
+        _, n_star = epsilon_n(design)
+        y = np.random.default_rng(k).normal(size=(M, N))
+        try:
+            expected = choose_levels(n_star, cfg, N=N)[:2]
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                estimate(y, design, BlurKernel("heat"), cfg)
+            return
+        diag = estimate(y, design, BlurKernel("heat"), cfg).diagnostics
+        assert (diag.j0, diag.J) == expected
+
 
 class TestThresholdValue:
     def test_flat_case(self):
         cfg = EstimatorConfig(mu=1.0, nu=0.0, lambda1=0.0)
         n_star = 1000.0
         for j in (0, 3, 7):
-            assert threshold_value(j, n_star, 10_000, cfg) == pytest.approx(
+            assert threshold_value(j, n_star, cfg) == pytest.approx(
                 math.log(n_star) / n_star
             )
 
     def test_monotone_in_level(self):
         cfg = EstimatorConfig(mu=1.0, nu=1.5)
-        vals = [threshold_value(j, 500.0, 1000, cfg) for j in range(6)]
+        vals = [threshold_value(j, 500.0, cfg) for j in range(6)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_mu_squared_scaling(self):
-        lo = threshold_value(3, 500.0, 1000, EstimatorConfig(mu=1.0, nu=2.0))
-        hi = threshold_value(3, 500.0, 1000, EstimatorConfig(mu=2.0, nu=2.0))
+        lo = threshold_value(3, 500.0, EstimatorConfig(mu=1.0, nu=2.0))
+        hi = threshold_value(3, 500.0, EstimatorConfig(mu=2.0, nu=2.0))
         assert hi == pytest.approx(4 * lo)
 
     def test_supersmooth_rejected(self):
         with pytest.raises(ConfigError):
-            threshold_value(3, 500.0, 1000, EstimatorConfig(alpha1=1.0, beta=2.0))
+            threshold_value(3, 500.0, EstimatorConfig(alpha1=1.0, beta=2.0))
 
 
 class TestBlockPartition:
@@ -187,7 +223,7 @@ class TestBlockThreshold:
         cfg = EstimatorConfig(mu=1.0, nu=1.0)
         coeffs = WaveletCoefficients.zeros(3, 5)
         part = block_partition(4, n)
-        lam = threshold_value(4, n_star, n, cfg)
+        lam = threshold_value(4, n_star, cfg)
         start, stop = part.blocks[1]
         coeffs.detail[4][start:stop] = math.sqrt(2 * lam / (stop - start))
         out, decisions = block_threshold(coeffs, n, n_star, cfg)
@@ -332,7 +368,7 @@ class TestCoefficientMoments:
         _, n_star = epsilon_n(design)
         exceed = total = 0
         for j, B in rows.items():
-            lam = threshold_value(j, n_star, design.n, cfg)
+            lam = threshold_value(j, n_star, cfg)
             part = block_partition(j, design.n)
             for start, stop in part.blocks:
                 energies = np.sum(B[:, start:stop] ** 2, axis=1)

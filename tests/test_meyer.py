@@ -9,11 +9,13 @@ import pytest
 from lrdeconv.errors import ConfigError, MissingFrequencyError
 from lrdeconv.fourier import FourierSeries, coeffs_to_grid, grid_to_coeffs
 from lrdeconv.meyer import (
+    SUPPORT_TOL,
     MeyerSpec,
     WaveletCoefficients,
     analyze,
     frequency_set,
     meyer_aux,
+    needed_band,
     periodized_coeff,
     scaling_ft,
     synthesize,
@@ -122,6 +124,19 @@ class TestFrequencySets:
         scan = [m for m in range(-2 ** (j + 3), 2 ** (j + 3) + 1)
                 if abs(periodized_coeff(SPEC, j, 0, m)) > 1e-14]
         assert list(frequency_set(SPEC, j).members) == scan
+
+    def test_needed_band_is_the_widest_member(self):
+        # largest |m| with a window above SUPPORT_TOL, scanned level by level
+        def widest(j, window):
+            m = np.arange(0, 2 ** (j + 2) + 1)
+            return int(m[np.abs(window(SPEC, 2 * np.pi * m / 2 ** j)) > SUPPORT_TOL].max())
+
+        scaling = [widest(j, scaling_ft) for j in range(15)]
+        detail = [widest(j, wavelet_ft) for j in range(15)]
+        for J in range(15):
+            for j0 in range(J + 1):
+                expected = max([scaling[j0]] + detail[j0:J])
+                assert needed_band(MeyerSpec(j0, J)) == expected, (j0, J)
 
     def test_only_adjacent_levels_overlap(self):
         sets = {j: set(frequency_set(SPEC, j).members.tolist()) for j in range(0, 9)}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lrdeconv import noise
 from lrdeconv.errors import ConfigError, NumericError, SizeLimitError
 from lrdeconv.noise import (
     NoiseModel,
@@ -203,13 +204,37 @@ class TestToeplitzEigenBounds:
         with pytest.raises(ConfigError):
             toeplitz_eigen_bounds(NoiseModel.white(), 1)
 
-    def test_cholesky_fallback_size_limit(self):
-        from lrdeconv.noise import _cholesky_factor
 
-        with pytest.raises(SizeLimitError):
-            _cholesky_factor(NoiseModel.farima(0.3), 2 ** 14 + 1)
-        # small sizes factor fine and reproduce the covariance
-        L = _cholesky_factor(NoiseModel.farima(0.3), 8)
-        gamma = autocovariance(NoiseModel.farima(0.3), np.abs(
-            np.subtract.outer(np.arange(8), np.arange(8))))
-        assert L @ L.T == pytest.approx(gamma, abs=1e-12)
+
+class TestEmbeddingGuard:
+    """Circulant embedding is never rejected for the supported laws
+    (Craigmile, 2003); a covariance whose embedding is rejected raises."""
+
+    @pytest.mark.parametrize("kind", ["farima", "fgn"])
+    def test_no_embedding_rejected(self, kind):
+        # the uncached function, so the large sizes do not stay in the cache
+        spectrum = noise._embedding_spectrum.__wrapped__
+        worst = math.inf
+        for d in np.linspace(0.0, 0.499, 60):
+            model = NoiseModel(kind, float(d)) if d > 0 else NoiseModel.white()
+            for n in (2, 3, 16, 127, 1024, 4096, 65536):
+                sqrt_spec, m = spectrum(model, n)
+                gamma0 = float(autocovariance(model, 0))
+                worst = min(worst, float(np.min(sqrt_spec ** 2 * m)) / gamma0)
+        assert worst >= 1e-3
+
+    def test_rejected_embedding_raises(self, monkeypatch):
+        def not_positive_definite(model, lag):
+            # gamma = (1, 0.9, 0, 0): the 6-point embedding has spectrum 1 - 1.8 < 0
+            k = np.abs(np.asarray(lag))
+            return np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0))
+
+        monkeypatch.setattr(noise, "autocovariance", not_positive_definite)
+        noise._embedding_spectrum.cache_clear()
+        try:
+            with pytest.raises(NumericError, match="circulant embedding"):
+                sample_paths([NoiseModel.farima(0.2)] * 2, 4, master_seed=0)
+            with pytest.raises(NumericError):
+                sample_path(NoiseModel.farima(0.2), 4, seed=0)
+        finally:
+            noise._embedding_spectrum.cache_clear()
