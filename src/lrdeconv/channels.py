@@ -19,8 +19,9 @@ Design functionals:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +51,22 @@ D_MAX = 0.5
 TAU_FLOOR = 1e-300
 
 
+def _hash_once(self) -> int:
+    """Hash of the fields, computed on first use and kept: the u, d and table
+    tuples are long, and the estimator's caches look designs and kernels up
+    in every replicate."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+def _state_without_hash(self) -> dict:
+    # str hashes differ between interpreters, so a pickled hash would be stale
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class ChannelDesign:
     """M channels at points u with memory exponents d, N samples each."""
@@ -58,6 +75,9 @@ class ChannelDesign:
     d: tuple
     N: int
     noise: tuple
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(x) for x in self.u))
@@ -120,6 +140,9 @@ class BlurKernel:
     table_m: tuple = ()
     table_u: tuple = ()
     table_g: tuple = ()
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __post_init__(self):
         if self.kind not in ("heat", "dirichlet", "boxcar", "table"):
@@ -202,18 +225,29 @@ def kernel_fourier(kernel: BlurKernel, u, m) -> np.ndarray:
     return complex(out[0, 0]) if scalar else out
 
 
-def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _table_arrays(kernel: BlurKernel) -> tuple:
+    """(u columns, m rows in sorted order, their row numbers, g as rows x columns),
+    built once per table kernel and read-only."""
     tab_u = np.asarray(kernel.table_u, dtype=float)
     tab_m = np.asarray(kernel.table_m, dtype=int)
     g = np.asarray(kernel.table_g, dtype=complex).reshape(len(tab_m), len(tab_u))
+    # a stable sort keeps repeated m in table order, so the last such row wins
+    order = np.argsort(tab_m, kind="stable")
+    arrays = (tab_u, tab_m[order], order, g)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    tab_u, sorted_m, order, g = _table_arrays(kernel)
     cols = np.argmin(np.abs(tab_u[None, :] - u[:, None]), axis=1)
     no_col = np.abs(tab_u[cols] - u) > 1e-9 * np.maximum(1.0, np.abs(u))
     if no_col.any():
         raise ConfigError(f"kernel table has no column for u = {u[np.argmax(no_col)]}")
-    # a stable sort keeps repeated m in table order, so the last such row wins
-    order = np.argsort(tab_m, kind="stable")
-    pos = np.searchsorted(tab_m[order], m, side="right") - 1
-    no_row = (pos < 0) | (tab_m[order[pos]] != m)
+    pos = np.searchsorted(sorted_m, m, side="right") - 1
+    no_row = (pos < 0) | (sorted_m[pos] != m)
     if no_row.any():
         raise ConfigError(f"kernel table has no row for m = {int(m[np.argmax(no_row)])}")
     return g[np.ix_(order[pos], cols)].T  # (len(u), len(m))

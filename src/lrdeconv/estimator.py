@@ -19,6 +19,7 @@ and in the super-smooth regime (alpha1 > 0) a linear estimator at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -33,9 +34,16 @@ from .channels import (
     simulate_observations,
     tau_kappa,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, MissingFrequencyError, NumericError
 from .fourier import FourierSeries, coeffs_to_grid
-from .meyer import MeyerSpec, WaveletCoefficients, analyze, frequency_set, synthesize_series
+from .meyer import (
+    MeyerSpec,
+    WaveletCoefficients,
+    analyze,
+    frequency_set,
+    needed_band,
+    synthesize_series,
+)
 
 __all__ = [
     "EstimatorConfig",
@@ -128,31 +136,63 @@ class EstimateResult:
     diagnostics: EstimateDiagnostics
 
 
+@functools.lru_cache(maxsize=16)
+def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol: float,
+                           band: int) -> tuple:
+    """The kernel-dependent part of ``fourier_deconvolve`` at |m| <= band.
+
+    Returns the DFT columns m mod N, the weights w_l conj(g_m(u_l)) with
+    w_l = N^(-2 d_l), the denominators, the mask of well-posed m (all
+    read-only and C-contiguous) and the ill-posed frequencies.  The cutoff
+    and the ill-posed list are taken over the full alias-free band whatever
+    ``band`` is, so a narrower band returns a slice of the full one.
+    """
+    N = design.N
+    full = N // 2 - 1
+    g = np.ascontiguousarray(kernel_fourier(kernel, design.u_array(), np.arange(-full, full + 1)))
+    w = (float(N) ** (-2.0 * design.d_array()))[:, None]
+    denom = np.sum(w * np.abs(g) ** 2, axis=0)
+    ok = denom >= denom_tol * denom.max()
+    ill_posed = tuple(int(m) - full for m in np.flatnonzero(~ok))
+    keep = slice(full - band, full + band + 1)
+    arrays = (np.mod(np.arange(-band, band + 1), N),
+              np.ascontiguousarray(w * np.conj(g[:, keep])),
+              denom[keep].copy(), ok[keep].copy())
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays + (ill_posed,)
+
+
 def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
-                       denom_tol: float = 1e-12) -> tuple[FourierSeries, list]:
-    """Weighted-ratio estimator of f_m over the alias-free band.
+                       denom_tol: float = 1e-12,
+                       band: int | None = None) -> tuple[FourierSeries, list]:
+    """Weighted-ratio estimator of f_m at |m| <= band (default: the alias-free
+    band N/2 - 1).
 
     Frequencies whose denominator falls below denom_tol times the largest
-    denominator are zero-filled and reported (ill-posed policy).
+    denominator of the full band are zero-filled and reported (ill-posed
+    policy; the list always covers the full band).  The kernel weights are
+    computed once per (design, kernel, denom_tol, band) and cached; the
+    values at |m| <= K are the same bits for every band >= K.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (design.M, design.N):
         raise ConfigError(f"y must be M x N = {design.M} x {design.N}, got {y.shape}")
-    N = design.N
-    band = N // 2 - 1
-    m = np.arange(-band, band + 1)
-    Y = np.fft.fft(y, axis=1) / N
-    Ym = Y[:, np.mod(m, N)]
-    g = kernel_fourier(kernel, design.u_array(), m)
-    w = (float(N) ** (-2.0 * design.d_array()))[:, None]
-    numer = np.sum(w * np.conj(g) * Ym, axis=0)
-    denom = np.sum(w * np.abs(g) ** 2, axis=0)
-    cutoff = denom_tol * denom.max()
-    ok = denom >= cutoff
+    full = design.N // 2 - 1
+    if band is None:
+        band = full
+    elif not 0 <= band <= full:
+        raise MissingFrequencyError(f"band {band} outside the alias-free band 0..{full}")
+    # np.sum adds the channels of a C-ordered block row by row, but those of a
+    # single column pairwise; so band 0 is computed as |m| <= 1 and cut
+    width = min(max(band, 1), full)
+    cols, weights, denom, ok, ill_posed = _deconvolution_weights(design, kernel, denom_tol,
+                                                                 width)
+    Ym = np.fft.fft(y, axis=1)[:, cols] / design.N
+    numer = np.sum(weights * Ym, axis=0)
     values = np.zeros_like(numer)
     values[ok] = numer[ok] / denom[ok]
-    ill_posed = [int(mm) for mm in m[~ok]]
-    return FourierSeries(band, values), ill_posed
+    return FourierSeries(band, values[width - band:width + band + 1]), list(ill_posed)
 
 
 def _round_half_up(x: float) -> int:
@@ -253,9 +293,9 @@ def estimate(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     j0, J, diag.warnings = choose_levels(n_star, config, N=design.N)
     diag.j0, diag.J = j0, J
 
-    f_hat, ill_posed = fourier_deconvolve(y, design, kernel, config.denom_tol)
-    diag.ill_posed = ill_posed
     spec = MeyerSpec(j0, J, config.aux_poly)
+    f_hat, diag.ill_posed = fourier_deconvolve(y, design, kernel, config.denom_tol,
+                                               band=needed_band(spec))
     coeffs = analyze(f_hat, spec)
 
     if config.supersmooth or J == j0:
@@ -330,7 +370,8 @@ def calibrate_mu(design: ChannelDesign, kernel: BlurKernel, config: EstimatorCon
     for rep in range(reps):
         y = simulate_observations(f0, design, kernel,
                                   np.random.SeedSequence(seed, spawn_key=(rep,)))
-        f_hat, _ = fourier_deconvolve(y, design, kernel, config.denom_tol)
+        f_hat, _ = fourier_deconvolve(y, design, kernel, config.denom_tol,
+                                      band=needed_band(spec))
         _, decisions = block_threshold(analyze(f_hat, spec), design.n, n_star, config)
         for d in decisions:
             energies[d.level].append(d.energy)

@@ -178,7 +178,21 @@ def _member_cache(aux_poly: str, j: int, kind: str) -> np.ndarray:
     limit = int(np.ceil(2 ** (j + 2) / 3.0)) + 2
     m = np.arange(-limit, limit + 1)
     mags = np.abs(_level_window(spec, j, m, kind))
-    return m[mags > SUPPORT_TOL]
+    members = m[mags > SUPPORT_TOL]
+    members.flags.writeable = False
+    return members
+
+
+@functools.lru_cache(maxsize=256)
+def _level_cache(aux_poly: str, j: int, kind: str) -> tuple:
+    """Level j's members m, residues m mod 2^j, conjugate window (analysis) and
+    window times 2^(-j/2) (synthesis); read-only."""
+    members = _member_cache(aux_poly, j, kind)
+    window = _level_window(MeyerSpec(0, 0, aux_poly), j, members, kind)
+    arrays = (members, np.mod(members, 2 ** j), np.conj(window), 2.0 ** (-j / 2.0) * window)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
@@ -232,11 +246,9 @@ def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
         )
 
     def level_coeffs(j: int, kind: str) -> np.ndarray:
-        members = _member_cache(spec.aux_poly, j, kind)
-        window = _level_window(spec, j, members, kind)
-        weighted = f.get(members) * np.conj(window)
+        members, residues, conj_window, _ = _level_cache(spec.aux_poly, j, kind)
         grouped = np.zeros(2 ** j, dtype=complex)
-        np.add.at(grouped, np.mod(members, 2 ** j), weighted)
+        np.add.at(grouped, residues, f.get(members) * conj_window)
         return 2.0 ** (j / 2.0) * np.fft.ifft(grouped)
 
     scaling = level_coeffs(spec.j0, "scaling")
@@ -252,10 +264,9 @@ def synthesize_series(coeffs: WaveletCoefficients, spec: MeyerSpec | None = None
     values = np.zeros(2 * band + 1, dtype=complex)
 
     def add_level(j: int, vec: np.ndarray, kind: str):
-        members = _member_cache(spec.aux_poly, j, kind)
-        window = _level_window(spec, j, members, kind)
+        members, residues, _, scaled_window = _level_cache(spec.aux_poly, j, kind)
         phases = np.fft.fft(vec)  # sum_k vec_k exp(-2 pi i k m / 2^j) at m mod 2^j
-        values[members + band] += 2.0 ** (-j / 2.0) * window * phases[np.mod(members, 2 ** j)]
+        values[members + band] += scaled_window * phases[residues]
 
     add_level(coeffs.j0, coeffs.scaling, "scaling")
     for j in coeffs.detail.keys():
