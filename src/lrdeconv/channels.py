@@ -27,14 +27,13 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, IllPosedFrequencyError
 from .fourier import FourierSeries
-from .meyer import MeyerSpec, frequency_set, needed_band
+from .meyer import MeyerSpec, frequency_set
 from .noise import NoiseModel, sample_paths
 
 __all__ = [
     "ChannelDesign",
     "BlurKernel",
     "KernelFit",
-    "DesignFunctionals",
     "kernel_fourier",
     "simulate_observations",
     "tau_kappa",
@@ -42,7 +41,6 @@ __all__ = [
     "epsilon_n",
     "boxcar_S_closed_form",
     "characterize_kernel",
-    "design_functionals",
     "load_kernel_table",
     "save_kernel_table",
 ]
@@ -175,21 +173,6 @@ class KernelFit:
     residual_supersmooth: float
 
 
-@dataclass(frozen=True)
-class DesignFunctionals:
-    """tau/Delta tables plus eps_n and n* for one design and kernel."""
-
-    m: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
-    tau4: np.ndarray
-    levels: tuple
-    delta1: np.ndarray
-    delta2: np.ndarray
-    epsilon_n: float
-    n_star: float
-
-
 def _sin_2pi(x: np.ndarray) -> np.ndarray:
     """sin(2 pi x) with exact zeros whenever 2x is an integer in floating point."""
     r = np.mod(2.0 * np.asarray(x, dtype=float), 2.0)
@@ -282,12 +265,11 @@ def tau_kappa(design: ChannelDesign, kernel: BlurKernel, m, kappa: int) -> np.nd
     return float(out[0]) if np.isscalar(m) else out
 
 
-def delta_kappa(design: ChannelDesign, kernel: BlurKernel, j: int, kappa: int,
-                aux_poly: str = "poly7") -> float:
+def delta_kappa(design: ChannelDesign, kernel: BlurKernel, j: int, kappa: int) -> float:
     """|C_j|^-1 sum_{m in C_j} tau_kappa(m,n) [tau_1(m,n)]^(-2 kappa)."""
     if kappa not in (1, 2):
         raise ConfigError("kappa must be 1 or 2")
-    members = frequency_set(MeyerSpec(0, 0, aux_poly), j).members
+    members = frequency_set(MeyerSpec(0, 0), j).members
     t1 = tau_kappa(design, kernel, members, 1)
     if np.any(t1 <= TAU_FLOOR):
         bad = members[t1 <= TAU_FLOOR]
@@ -392,20 +374,6 @@ def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> K
                          "supersmooth", rss_ss, rss_reg, rss_ss)
     return KernelFit(float(nu_reg), float(lam_reg), 0.0, beta_ss,
                      "regular", rss_reg, rss_reg, rss_ss)
-
-
-def design_functionals(design: ChannelDesign, kernel: BlurKernel,
-                       spec: MeyerSpec) -> DesignFunctionals:
-    """Tabulate tau_kappa over the band needed by ``spec`` and delta_kappa per level."""
-    m = np.arange(1, needed_band(spec) + 1)
-    t1 = tau_kappa(design, kernel, m, 1)
-    t2 = tau_kappa(design, kernel, m, 2)
-    t4 = tau_kappa(design, kernel, m, 4)
-    levels = tuple(spec.detail_levels)
-    d1 = np.array([delta_kappa(design, kernel, j, 1, spec.aux_poly) for j in levels])
-    d2 = np.array([delta_kappa(design, kernel, j, 2, spec.aux_poly) for j in levels])
-    eps, n_star = epsilon_n(design)
-    return DesignFunctionals(m, t1, t2, t4, levels, d1, d2, eps, n_star)
 
 
 def save_kernel_table(path, m_values, u_values, g_matrix):

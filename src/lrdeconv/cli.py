@@ -182,6 +182,7 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     diag_rows += [("ill_posed_m", m) for m in diag.ill_posed]
     diag_rows += [(f"kept_blocks_j{j}", k) for j, k in sorted(diag.kept_blocks.items())]
     diag_rows += [(f"total_blocks_j{j}", k) for j, k in sorted(diag.total_blocks.items())]
+    diag_rows += [("warning", w) for w in diag.warnings]
     with open(out / "diagnostics.csv", "w") as fh:
         fh.write("\n".join(header) + "\n")
         fh.write("key,value\n")

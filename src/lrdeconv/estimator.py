@@ -21,29 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    BlurKernel,
-    ChannelDesign,
-    delta_kappa,
-    epsilon_n,
-    kernel_fourier,
-    simulate_observations,
-    tau_kappa,
-)
-from .errors import ConfigError, MissingFrequencyError, NumericError
+from .channels import BlurKernel, ChannelDesign, epsilon_n, kernel_fourier
+from .errors import ConfigError, MissingFrequencyError
 from .fourier import FourierSeries, coeffs_to_grid
-from .meyer import (
-    MeyerSpec,
-    WaveletCoefficients,
-    analyze,
-    frequency_set,
-    needed_band,
-    synthesize_series,
-)
+from .meyer import MeyerSpec, WaveletCoefficients, analyze, needed_band, synthesize_series
 
 __all__ = [
     "EstimatorConfig",
@@ -56,8 +41,6 @@ __all__ = [
     "block_partition",
     "block_threshold",
     "estimate",
-    "mu_lower_bound",
-    "calibrate_mu",
 ]
 
 
@@ -78,6 +61,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mu < 0:
             raise ConfigError("mu must be >= 0")
+        if not self.nu >= 0:  # NaN too
+            raise ConfigError("nu must be >= 0")
         if not 0.0 < self.denom_tol <= 1e-3:
             raise ConfigError("denom_tol must lie in (0, 1e-3]")
         if self.alpha1 < 0:
@@ -310,78 +295,3 @@ def estimate(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     series = synthesize_series(thresholded, spec)
     grid = coeffs_to_grid(series, design.N).real
     return EstimateResult(grid, thresholded, decisions, diag)
-
-
-def mu_lower_bound(h1: float, c1: float, k3: float, kappa: float,
-                   lambda1: float, nu: float) -> float:
-    """Conservative threshold constant:
-    sqrt(2/(1-h1)) [sqrt(c1) + sqrt(8 pi kappa / k3) (ln 2)^(lambda1/2) (2 pi/3)^nu].
-    """
-    if not 0.0 < h1 < 1.0:
-        raise ConfigError("h1 must lie in (0, 1)")
-    if c1 < 0 or k3 <= 0:
-        raise ConfigError("need c1 >= 0 and k3 > 0")
-    tail = math.sqrt(8.0 * math.pi * kappa / k3) * math.log(2.0) ** (lambda1 / 2.0) \
-        * (2.0 * math.pi / 3.0) ** nu
-    return math.sqrt(2.0 / (1.0 - h1)) * (math.sqrt(c1) + tail)
-
-
-def empirical_mu_constants(design: ChannelDesign, kernel: BlurKernel,
-                           levels, config: EstimatorConfig) -> tuple[float, float, float]:
-    """(h1, c1, k3) surrogates measured from the design functionals.
-
-    h1 bounds -ln eps_n / ln n; c1 bounds Delta_1(j,n) eps_n / (2^(2 nu j) j^lambda1);
-    k3 bounds tau_1(m,n) m^nu / eps_n from below over the used band.
-    """
-    eps, _ = epsilon_n(design)
-    h1 = max(-math.log(eps) / math.log(design.n), 1e-6) if eps < 1.0 else 1e-6
-    h1 = min(h1, 0.999)
-    c1 = 0.0
-    k3 = math.inf
-    for j in levels:
-        d1 = delta_kappa(design, kernel, j, 1, config.aux_poly)
-        j_pow = 1.0 if j == 0 else float(j) ** config.lambda1
-        c1 = max(c1, d1 * eps / (2.0 ** (2.0 * config.nu * j) * j_pow))
-        members = frequency_set(MeyerSpec(0, 0, config.aux_poly), j).members
-        t1 = tau_kappa(design, kernel, members, 1)
-        k3 = min(k3, float(np.min(t1 * np.abs(members).astype(float) ** config.nu) / eps))
-    if not (k3 > 0 and math.isfinite(k3)):
-        raise NumericError("could not bound tau_1 from below on the used levels")
-    return h1, c1, k3
-
-
-def calibrate_mu(design: ChannelDesign, kernel: BlurKernel, config: EstimatorConfig,
-                 reps: int = 50, seed: int = 0,
-                 grid=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
-                 max_false_keep: float = 0.01) -> float:
-    """Smallest mu on ``grid`` whose null-block false-keep rate is <= the target.
-
-    Pilot simulation with f = 0: all block energies are pure noise, so kept
-    blocks are false keeps by construction.  A configuration that ``estimate``
-    does not threshold keeps no block, so it gets the smallest mu.
-    """
-    f0 = FourierSeries.zeros(1)
-    _, n_star = epsilon_n(design)
-    j0, J, _ = choose_levels(n_star, config, N=design.N)
-    if config.supersmooth or J <= j0:
-        return min(grid)
-    spec = MeyerSpec(j0, J, config.aux_poly)
-    energies: dict[int, list] = {j: [] for j in range(j0, J)}
-    for rep in range(reps):
-        y = simulate_observations(f0, design, kernel,
-                                  np.random.SeedSequence(seed, spawn_key=(rep,)))
-        f_hat, _ = fourier_deconvolve(y, design, kernel, config.denom_tol,
-                                      band=needed_band(spec))
-        _, decisions = block_threshold(analyze(f_hat, spec), design.n, n_star, config)
-        for d in decisions:
-            energies[d.level].append(d.energy)
-    for mu in sorted(grid):
-        trial = replace(config, mu=mu)
-        false_keeps = total = 0
-        for j, vals in energies.items():
-            lam = threshold_value(j, n_star, trial)
-            false_keeps += sum(v >= lam for v in vals)
-            total += len(vals)
-        if total and false_keeps / total <= max_false_keep:
-            return mu
-    return max(grid)

@@ -14,7 +14,6 @@ from lrdeconv.channels import (
     boxcar_S_closed_form,
     characterize_kernel,
     delta_kappa,
-    design_functionals,
     epsilon_n,
     kernel_fourier,
     load_kernel_table,
@@ -381,15 +380,3 @@ class TestCharacterize:
     def test_octave_required(self):
         with pytest.raises(ConfigError):
             characterize_kernel(single_channel(), flat_kernel(), range(8, 12))
-
-
-class TestDesignFunctionals:
-    def test_tables(self):
-        design = boxcar_linear_design(2 ** 12)
-        out = design_functionals(design, BlurKernel("boxcar"), MeyerSpec(2, 4))
-        eps, n_star = epsilon_n(design)
-        assert out.epsilon_n == eps and out.n_star == n_star
-        assert n_star == pytest.approx(design.n * eps)
-        assert out.levels == (2, 3)
-        assert np.all(out.delta1 > 0)
-        assert np.all(out.tau1 >= 0)

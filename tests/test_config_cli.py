@@ -17,6 +17,8 @@ from lrdeconv.config import (
 )
 from lrdeconv.errors import ConfigError
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 BASE_CONFIG = """\
 experiment: cli-test
 seed: 321
@@ -173,6 +175,14 @@ class TestCliValidation:
         path, _ = write_config(tmp_path, BASE_CONFIG)
         assert main(["simulate", "--config", str(path), "--threads", "0"]) == 1
 
+    @pytest.mark.parametrize("nu", ["-0.5", ".nan"])
+    def test_negative_nu_exit_code_and_message(self, tmp_path, capsys, nu):
+        text = (CONFIGS / "boxcar-regular.yaml").read_text().replace("nu: 2.0", f"nu: {nu}")
+        path = tmp_path / "negative-nu.yaml"
+        path.write_text(text)
+        assert main(["estimate", "--config", str(path), "--dry-run"]) == 1
+        assert "nu must be >= 0" in capsys.readouterr().err
+
 
 class TestSimulateEstimate:
     def test_byte_identical_reruns(self, tmp_path):
@@ -224,6 +234,21 @@ class TestSimulateEstimate:
         main(["estimate", "--config", str(path)])
         diag = (out / "diagnostics.csv").read_text()
         assert "ill_posed_m,4" in diag or "ill_posed_m,-4" in diag
+
+    @pytest.mark.parametrize("config, warned", [("boxcar-regular", True),
+                                                ("noiseless-exact", False)])
+    def test_diagnostics_list_level_warnings(self, tmp_path, config, warned):
+        path = CONFIGS / f"{config}.yaml"
+        for command in ("simulate", "estimate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = [l for l in (tmp_path / "diagnostics.csv").read_text().splitlines()
+                if l.startswith("warning,")]
+        if warned:
+            # boxcar-regular at n = 65536: j0 = 3 exceeds J = 2
+            assert [r.split(",") for r in rows] == [
+                ["warning", "j0 = 3 exceeds J = 2; clamped (estimator is linear)"]]
+        else:
+            assert rows == []
 
     def test_dry_run_prints_plan_without_output(self, tmp_path, capsys):
         path, out = write_config(tmp_path, BASE_CONFIG)
