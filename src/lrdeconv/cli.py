@@ -103,11 +103,8 @@ def cmd_simulate(cfg: RunConfig, seed: int, out: Path, args) -> int:
         return 0
     y = simulate_observations(truth, design, kernel, seed)
     header = _header(cfg, "simulate", seed)
-    with open(out / "y.csv", "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.write(f"# rows=channels M={design.M}, cols=N={design.N}\n")
-        for row in y:
-            fh.write(",".join(FMT % v for v in row) + "\n")
+    np.savetxt(out / "y.csv", y, fmt=FMT, delimiter=",", comments="",
+               header="\n".join(header + [f"# rows=channels M={design.M}, cols=N={design.N}"]))
     _write_table(out / "truth_fourier.csv", header, ["m", "re", "im"],
                  [(int(m), v.real, v.imag) for m, v in zip(truth.m, truth.values)])
     grid = coeffs_to_grid(truth, design.N).real
@@ -119,24 +116,14 @@ def cmd_simulate(cfg: RunConfig, seed: int, out: Path, args) -> int:
 
 
 def _load_y(path: Path, cfg: RunConfig) -> np.ndarray:
-    if not path.exists():
-        raise FileNotFoundError(f"missing input file {path}")
     if _read_hash(path) != config_hash(cfg):
         raise ConfigError(
             f"{path} was produced under a different config hash; refusing to mix runs"
         )
-    rows = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            if line.startswith("#"):
-                continue
-            try:
-                rows.append([float(x) for x in line.strip().split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{i + 1}: not a numeric data row") from exc
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise ConfigError(f"{path} is empty or has ragged rows")
-    return np.asarray(rows)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)  # M = 1 stays 1 x N
+    except ValueError as exc:  # a ragged row or a non-numeric cell
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
@@ -148,10 +135,11 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
         j0, J, _ = choose_levels(n_star, est_cfg, N=design.N)
         print(f"estimate: n*={n_star:.6g} j0={j0} J={J}")
         return 0
-    y = _load_y(out / "y.csv", cfg)
+    path = out / "y.csv"
+    y = _load_y(path, cfg)
     if y.shape != (design.M, design.N):
         raise ConfigError(
-            f"y.csv shape {y.shape} does not match the configured design "
+            f"{path} shape {y.shape} does not match the configured design "
             f"{design.M}x{design.N}"
         )
     result = estimate(y, design, kernel, est_cfg)
@@ -183,11 +171,7 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     diag_rows += [(f"kept_blocks_j{j}", k) for j, k in sorted(diag.kept_blocks.items())]
     diag_rows += [(f"total_blocks_j{j}", k) for j, k in sorted(diag.total_blocks.items())]
     diag_rows += [("warning", w) for w in diag.warnings]
-    with open(out / "diagnostics.csv", "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.write("key,value\n")
-        for key, val in diag_rows:
-            fh.write(f"{key},{_fmt(val)}\n")
+    _write_table(out / "diagnostics.csv", header, ["key", "value"], diag_rows)
     _write_manifest(out, cfg, "estimate", seed)
     print(f"estimate: wrote fhat_grid.csv, coefficients.csv, decisions.csv to {out}")
     return 0
@@ -246,11 +230,8 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     if regressor == "log_log_nstar":
         xs = np.log(xs)
     ys = np.log(report.column("risk_mean").astype(float))
-    with open(out / "risk_curve.dat", "w") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{FMT % x} {FMT % y}\n")
+    np.savetxt(out / "risk_curve.dat", np.column_stack([xs, ys]), fmt=FMT, delimiter=" ",
+               comments="", header="\n".join(header))
 
     meta = {
         "config_hash": config_hash(cfg),
@@ -397,7 +378,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError as exc:
+        if args.threads is None:
+            env = os.environ.get("LRD_DECONV_THREADS", "1")
+            try:
+                args.threads = int(env)
+            except ValueError:
+                raise ConfigError(f"LRD_DECONV_THREADS must be an integer, got {env!r}") from None
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:
@@ -405,8 +392,6 @@ def main(argv=None) -> int:
         return 1
 
     seed = args.seed if args.seed is not None else cfg.seed
-    if args.threads is None:
-        args.threads = int(os.environ.get("LRD_DECONV_THREADS", "1"))
     if args.threads < 1:
         print("config error: --threads must be >= 1", file=sys.stderr)
         return 1
@@ -422,7 +407,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

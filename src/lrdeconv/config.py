@@ -91,20 +91,23 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config must be a mapping of sections")
     _check_keys(raw, {"experiment", "seed", "output_dir", "design", "noise", "kernel",
                       "truth", "estimator", "bench", "eigencheck", "characterize"}, "<root>")
-    cfg = RunConfig(
-        experiment=str(_require(raw, "experiment", "<root>")),
-        seed=int(_require(raw, "seed", "<root>")),
-        output_dir=str(_require(raw, "output_dir", "<root>")),
-        design=dict(_require(raw, "design", "<root>")),
-        noise=dict(_require(raw, "noise", "<root>")),
-        kernel=dict(_require(raw, "kernel", "<root>")),
-        truth=dict(raw["truth"]) if raw.get("truth") else None,
-        estimator=dict(raw.get("estimator") or {}),
-        bench=dict(raw["bench"]) if raw.get("bench") else None,
-        eigencheck=dict(raw["eigencheck"]) if raw.get("eigencheck") else None,
-        characterize=dict(raw["characterize"]) if raw.get("characterize") else None,
-    )
-    validate_config(cfg)
+    try:
+        cfg = RunConfig(
+            experiment=str(_require(raw, "experiment", "<root>")),
+            seed=int(_require(raw, "seed", "<root>")),
+            output_dir=str(_require(raw, "output_dir", "<root>")),
+            design=dict(_require(raw, "design", "<root>")),
+            noise=dict(_require(raw, "noise", "<root>")),
+            kernel=dict(_require(raw, "kernel", "<root>")),
+            truth=dict(raw["truth"]) if raw.get("truth") else None,
+            estimator=dict(raw.get("estimator") or {}),
+            bench=dict(raw["bench"]) if raw.get("bench") else None,
+            eigencheck=dict(raw["eigencheck"]) if raw.get("eigencheck") else None,
+            characterize=dict(raw["characterize"]) if raw.get("characterize") else None,
+        )
+        validate_config(cfg)
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or form
+        raise ConfigError(f"malformed config value: {exc}") from exc
     return cfg
 
 
@@ -210,9 +213,10 @@ def validate_config(cfg: RunConfig):
         if cfg.bench.get("ball"):
             build_ball(cfg)
 
+    sizes = [int(n) for n in sizes]  # a malformed n fails here, not at command time
     if est.level_override is not None:
         for n in sizes:
-            design = design_for_n(cfg, int(n))
+            design = design_for_n(cfg, n)
             choose_levels(epsilon_n(design)[1], est, design.N)  # raises above the band
 
     if cfg.eigencheck is not None:

@@ -59,16 +59,19 @@ class EstimatorConfig:
     aux_poly: str = "poly7"
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ConfigError("mu must be >= 0")
-        if not self.nu >= 0:  # NaN too
-            raise ConfigError("nu must be >= 0")
+        # NaN fails every comparison, so the "not" form rejects it too
+        if not 0 <= self.mu < math.inf:
+            raise ConfigError("mu must be >= 0 and finite")
+        if not 0 <= self.nu < math.inf:
+            raise ConfigError("nu must be >= 0 and finite")
+        if not math.isfinite(self.lambda1):
+            raise ConfigError("lambda1 must be finite")
         if not 0.0 < self.denom_tol <= 1e-3:
             raise ConfigError("denom_tol must lie in (0, 1e-3]")
-        if self.alpha1 < 0:
-            raise ConfigError("alpha1 must be >= 0")
-        if self.alpha1 > 0 and self.beta <= 0:
-            raise ConfigError("beta must be > 0 in the super-smooth regime")
+        if not 0 <= self.alpha1 < math.inf:
+            raise ConfigError("alpha1 must be >= 0 and finite")
+        if self.alpha1 > 0 and not 0 < self.beta < math.inf:
+            raise ConfigError("beta must be > 0 and finite in the super-smooth regime")
         if self.level_override is not None:
             j0, J = self.level_override
             if not 0 <= j0 <= J:

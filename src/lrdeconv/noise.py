@@ -173,12 +173,9 @@ def _embedding_spectrum(model: NoiseModel, n_points: int):
     Returns (sqrt(spectrum / m), m); raises NumericError when an entry of the
     spectrum lies below -NEG_TOL * gamma(0).
     """
-    if n_points == 1:
-        gamma0 = float(autocovariance(model, 0))
-        return np.array([math.sqrt(gamma0)]), 1
     gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
-    c = np.concatenate([gamma, gamma[-2:0:-1]])
-    m = c.size  # 2 (N - 1)
+    c = np.concatenate([gamma, gamma[-2:0:-1]])  # [gamma(0)] alone for N = 1
+    m = c.size
     eigs = np.fft.fft(c).real
     if eigs.min() < -NEG_TOL * gamma[0]:
         raise NumericError(

@@ -1,14 +1,20 @@
 """Configuration parsing, validation, and the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from lrdeconv.channels import save_kernel_table
-from lrdeconv.cli import main
+from lrdeconv.channels import save_kernel_table, simulate_observations
+from lrdeconv.cli import _load_y, main
 from lrdeconv.config import (
+    build_kernel,
+    build_truth,
     config_hash,
     design_for_n,
     load_config,
@@ -18,6 +24,7 @@ from lrdeconv.config import (
 from lrdeconv.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE_CONFIG = """\
 experiment: cli-test
@@ -175,13 +182,59 @@ class TestCliValidation:
         path, _ = write_config(tmp_path, BASE_CONFIG)
         assert main(["simulate", "--config", str(path), "--threads", "0"]) == 1
 
-    @pytest.mark.parametrize("nu", ["-0.5", ".nan"])
+    @pytest.mark.parametrize("nu", ["-0.5", ".nan", ".inf"])
     def test_negative_nu_exit_code_and_message(self, tmp_path, capsys, nu):
         text = (CONFIGS / "boxcar-regular.yaml").read_text().replace("nu: 2.0", f"nu: {nu}")
         path = tmp_path / "negative-nu.yaml"
         path.write_text(text)
         assert main(["estimate", "--config", str(path), "--dry-run"]) == 1
         assert "nu must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [".nan", ".inf"])
+    @pytest.mark.parametrize("config, key, value", [
+        ("boxcar-regular", "mu", "1.0"),
+        ("boxcar-regular", "lambda1", "0.0"),
+        ("heat-supersmooth-d0", "alpha1", "0.0197"),
+        ("heat-supersmooth-d0", "beta", "2.0"),
+    ])
+    def test_nonfinite_estimator_number_exit_code_and_message(self, tmp_path, capsys,
+                                                              config, key, value, bad):
+        text = (CONFIGS / f"{config}.yaml").read_text()
+        assert f"{key}: {value}\n" in text
+        path = tmp_path / "nonfinite.yaml"
+        path.write_text(text.replace(f"{key}: {value}\n", f"{key}: {bad}\n"))
+        assert main(["estimate", "--config", str(path), "--dry-run"]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"), ("estimator.mu", "abc"), ("design.n", "abc"), ("bench.reps", "abc"),
+        ("truth.band", "abc"), ("design", 5), ("LRD_DECONV_THREADS", "abc"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, key, value):
+        raw = yaml.safe_load((CONFIGS / "boxcar-regular.yaml").read_text())
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        if key == "LRD_DECONV_THREADS":
+            env[key] = value
+        else:
+            *sections, name = key.split(".")
+            node = raw
+            for section in sections:
+                node = node[section]
+            node[name] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrdeconv.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "out"), "--dry-run"],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_config_directory_is_io_error(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path)]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestSimulateEstimate:
@@ -199,6 +252,44 @@ class TestSimulateEstimate:
         first = (out / "y.csv").read_bytes()
         assert main(["simulate", "--config", str(path), "--seed", "99"]) == 0
         assert (out / "y.csv").read_bytes() != first
+
+    def test_y_csv_rows_are_17g_of_the_simulation(self, tmp_path):
+        path, out = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "--config", str(path)]) == 0
+        cfg = load_config(path)
+        y = simulate_observations(build_truth(cfg), design_for_n(cfg, 1024),
+                                  build_kernel(cfg), cfg.seed)
+        text = (out / "y.csv").read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        header = [l for l in lines if l.startswith("#")]
+        assert lines[:len(header)] == header
+        assert f"# config_hash={config_hash(cfg)}" in header
+        assert lines[len(header):] == [",".join("%.17g" % v for v in row) for row in y]
+        assert _load_y(out / "y.csv", cfg).tobytes() == y.tobytes()  # parsed bit for bit
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")  # header-only: "input contained no data"
+    @pytest.mark.parametrize("damage", ["ragged", "non-numeric", "header-only"])
+    def test_malformed_y_csv_exit_1_names_the_file(self, tmp_path, capsys, damage):
+        path, out = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "--config", str(path)]) == 0
+        y_csv = out / "y.csv"
+        lines = y_csv.read_text().splitlines(keepends=True)
+        header = [l for l in lines if l.startswith("#")]
+        data = lines[len(header):]
+        if damage == "ragged":
+            data[3] = data[3].rsplit(",", 1)[0] + "\n"
+        elif damage == "non-numeric":
+            data[3] = "abc," + data[3].split(",", 1)[1]
+        else:
+            data = []
+        y_csv.write_text("".join(header + data))
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(y_csv) in err
+        if damage != "header-only":
+            assert "row" in err
 
     def test_manifest_contents(self, tmp_path):
         path, out = write_config(tmp_path, BASE_CONFIG)
@@ -241,8 +332,13 @@ class TestSimulateEstimate:
         path = CONFIGS / f"{config}.yaml"
         for command in ("simulate", "estimate"):
             assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
-        rows = [l for l in (tmp_path / "diagnostics.csv").read_text().splitlines()
-                if l.startswith("warning,")]
+        body = [l for l in (tmp_path / "diagnostics.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert body[0] == "key,value"
+        assert [r.split(",")[0] for r in body[1:6]] == [
+            "epsilon_n", "n_star", "j0", "J", "n_ill_posed"]
+        assert all(len(r.split(",")) == 2 for r in body)
+        rows = [l for l in body if l.startswith("warning,")]
         if warned:
             # boxcar-regular at n = 65536: j0 = 3 exceeds J = 2
             assert [r.split(",") for r in rows] == [
@@ -315,7 +411,10 @@ class TestBenchCommand:
         assert "besov_certificate" in meta
         curve = [l for l in (out / "risk_curve.dat").read_text().splitlines()
                  if not l.startswith("#")]
-        assert len(curve) == 4 and all(len(l.split()) == 2 for l in curve)
+        rows = [l.split(",") for l in report[header_idx + 1:]]
+        xs = np.log([float(r[3]) for r in rows])  # log n*, the log_nstar regressor
+        ys = np.log([float(r[4]) for r in rows])  # log risk_mean
+        assert curve == ["%.17g %.17g" % (x, y) for x, y in zip(xs, ys)]
 
     def test_threads_reproducibility(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path, BASE_CONFIG)
