@@ -1,8 +1,9 @@
 """Configuration files: a single YAML document with nested sections.
 
-The same file drives every subcommand; sections not needed by a command are
-ignored by it.  Parsing is strict: unknown keys and constraint violations
-raise ConfigError with the violated constraint named, and
+The same file drives every subcommand, and every section is checked when the
+file is loaded, whichever command loads it: a config is checked by building
+what it describes.  Parsing is strict: unknown keys and constraint
+violations raise ConfigError with the violated constraint named, and
 ``parse(serialize(config)) == config`` holds exactly.
 """
 
@@ -19,7 +20,7 @@ from .channels import BlurKernel, ChannelDesign, epsilon_n, load_kernel_table
 from .errors import ConfigError
 from .estimator import EstimatorConfig, choose_levels
 from .fourier import FourierSeries
-from .noise import NoiseModel
+from .noise import DENSE_EIGEN_LIMIT, NoiseModel
 from .riskbench import BesovBall, make_test_function
 
 __all__ = [
@@ -112,8 +113,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -125,80 +130,39 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def validate_config(cfg: RunConfig):
+    """Check a config by building what it describes.
+
+    The builders hold the model's rules (NoiseModel, ChannelDesign,
+    BlurKernel, EstimatorConfig, BesovBall, make_test_function), so this
+    checks the keys and the few rules no builder makes, then builds the
+    design at ``design.n`` and at every ``bench.n_grid`` point and each
+    object the commands build.  The kernel table is not read here: the
+    commands read it, and a missing one is an I/O failure.
+    """
     if cfg.seed < 0 or cfg.seed >= 2 ** 64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
 
     design = cfg.design
     _check_keys(design, {"n", "theta", "m_rule", "M", "u_rule", "d_rule"}, "design")
-    m_rule = design.get("m_rule", "power")
-    if m_rule not in ("power", "fixed"):
-        raise ConfigError("design.m_rule must be 'power' or 'fixed'")
-    if m_rule == "power":
-        theta = float(_require(design, "theta", "design"))
-        if not 0.0 <= theta < 1.0:
-            raise ConfigError("design.theta must satisfy 0 <= theta < 1")
-    else:
-        M = int(_require(design, "M", "design"))
-        if M < 1:
-            raise ConfigError("design.M must be >= 1")
+    _check_keys(dict(design.get("u_rule") or {}), {"kind", "a", "b", "values"}, "design.u_rule")
+    _check_keys(dict(design.get("d_rule") or {}), {"kind", "value", "a1", "a2", "values"},
+                "design.d_rule")
+    _check_keys(cfg.noise, {"kind", "scale"}, "noise")
 
-    u_rule = dict(design.get("u_rule") or {"kind": "equispaced", "a": 0.0, "b": 1.0})
-    _check_keys(u_rule, {"kind", "a", "b", "values"}, "design.u_rule")
-    if u_rule.get("kind") not in ("equispaced", "explicit"):
-        raise ConfigError("design.u_rule.kind must be 'equispaced' or 'explicit'")
-
-    d_rule = dict(design.get("d_rule") or {"kind": "constant", "value": 0.0})
-    _check_keys(d_rule, {"kind", "value", "a1", "a2", "values"}, "design.d_rule")
-    kind = d_rule.get("kind")
-    if kind == "constant":
-        val = float(_require(d_rule, "value", "design.d_rule"))
-        if not 0.0 <= val < D_STAR_LIMIT:
-            raise ConfigError(
-                f"design.d_rule.value violates 0 <= d < 1/2 (got {val})"
-            )
-    elif kind == "linear":
-        a1 = float(_require(d_rule, "a1", "design.d_rule"))
-        a2 = float(_require(d_rule, "a2", "design.d_rule"))
-        if not (0.0 <= a2 < D_STAR_LIMIT and 0.0 <= a1 + a2 < D_STAR_LIMIT):
-            raise ConfigError(
-                "design.d_rule linear coefficients violate "
-                f"0 <= a2 < 1/2 and 0 <= a1 + a2 < 1/2 (got a1={a1}, a2={a2})"
-            )
-    elif kind == "explicit":
-        values = _require(d_rule, "values", "design.d_rule")
-        for val in values:
-            if not 0.0 <= float(val) < D_STAR_LIMIT:
-                raise ConfigError(
-                    f"design.d_rule.values violates 0 <= d < 1/2 (got {val})"
-                )
-    else:
-        raise ConfigError("design.d_rule.kind must be constant, linear or explicit")
-
-    noise = cfg.noise
-    _check_keys(noise, {"kind", "scale"}, "noise")
-    if noise.get("kind") not in ("white", "farima", "fgn"):
-        raise ConfigError("noise.kind must be white, farima or fgn")
-    if not float(noise.get("scale", 1.0)) > 0:
-        raise ConfigError("noise.scale must be > 0")
-
-    kernel = cfg.kernel
-    _check_keys(kernel, {"kind", "c", "q0", "q1", "table_path"}, "kernel")
-    if kernel.get("kind") not in ("heat", "dirichlet", "boxcar", "table"):
-        raise ConfigError("kernel.kind must be heat, dirichlet, boxcar or table")
-    if kernel.get("kind") == "table" and not kernel.get("table_path"):
+    _check_keys(cfg.kernel, {"kind", "c", "q0", "q1", "table_path"}, "kernel")
+    if cfg.kernel.get("kind") != "table":
+        build_kernel(cfg)
+    elif not cfg.kernel.get("table_path"):
         raise ConfigError("kernel.kind=table requires kernel.table_path")
 
     if cfg.truth is not None:
         _check_keys(cfg.truth, {"kind", "band", "amplitude", "params"}, "truth")
-        if cfg.truth.get("kind") not in ("smooth_sine", "bump_mix", "sawtooth_smoothed"):
-            raise ConfigError("truth.kind must be smooth_sine, bump_mix or sawtooth_smoothed")
-        if int(_require(cfg.truth, "band", "truth")) < 0:
-            raise ConfigError("truth.band must be >= 0")
+        build_truth(cfg)
 
     _check_keys(cfg.estimator, {"mu", "nu", "lambda1", "alpha1", "beta",
                                 "denom_tol", "level_override"}, "estimator")
-    est = build_estimator_config(cfg)  # raises on violations
-    sizes = [cfg.design["n"]] if cfg.design.get("n") is not None else []
+    est = build_estimator_config(cfg)
+    sizes = [_require(design, "n", "design")]
 
     if cfg.bench is not None:
         _check_keys(cfg.bench, {"n_grid", "reps", "ball", "regressor"}, "bench")
@@ -213,22 +177,22 @@ def validate_config(cfg: RunConfig):
         if cfg.bench.get("ball"):
             build_ball(cfg)
 
-    sizes = [int(n) for n in sizes]  # a malformed n fails here, not at command time
-    if est.level_override is not None:
-        for n in sizes:
-            design = design_for_n(cfg, n)
-            choose_levels(epsilon_n(design)[1], est, design.N)  # raises above the band
+    for n in sizes:
+        built = design_for_n(cfg, int(n))
+        if est.level_override is not None:
+            choose_levels(epsilon_n(built)[1], est, built.N)  # raises above the band
 
     if cfg.eigencheck is not None:
         _check_keys(cfg.eigencheck, {"models", "n_list"}, "eigencheck")
-        for spec in _require(cfg.eigencheck, "models", "eigencheck"):
-            _noise_model_from(dict(spec))
+        eigencheck_models(cfg)
         for n in _require(cfg.eigencheck, "n_list", "eigencheck"):
-            if int(n) > 4096:
-                raise ConfigError("eigencheck.n_list entries must be <= 4096")
+            if int(n) > DENSE_EIGEN_LIMIT:
+                raise ConfigError(f"eigencheck.n_list entries must be <= {DENSE_EIGEN_LIMIT}")
 
     if cfg.characterize is not None:
         _check_keys(cfg.characterize, {"m_min", "m_max"}, "characterize")
+        for value in cfg.characterize.values():
+            int(value)  # cmd_characterize converts them the same way
 
 
 def _noise_model_from(spec: dict) -> NoiseModel:
@@ -252,12 +216,19 @@ def _split_n(cfg: RunConfig, n: int) -> tuple[int, int]:
     if abs(k - round(k)) > 1e-9:
         raise ConfigError(f"total sample count n must be a power of 2, got {n}")
     k = int(round(k))
-    if cfg.design.get("m_rule", "power") == "power":
-        theta = float(cfg.design["theta"])
+    m_rule = cfg.design.get("m_rule", "power")
+    if m_rule == "power":
+        theta = float(_require(cfg.design, "theta", "design"))
+        if not 0.0 <= theta < 1.0:
+            raise ConfigError("design.theta must satisfy 0 <= theta < 1")
         exp_n = int(math.floor((1.0 - theta) * k + 0.5))
         exp_n = min(max(exp_n, 1), k)
         return 2 ** (k - exp_n), 2 ** exp_n
-    M = int(cfg.design["M"])
+    if m_rule != "fixed":
+        raise ConfigError("design.m_rule must be 'power' or 'fixed'")
+    M = int(_require(cfg.design, "M", "design"))
+    if M < 1:
+        raise ConfigError("design.M must be >= 1")
     if n % M:
         raise ConfigError(f"design.M = {M} does not divide n = {n}")
     N = n // M
@@ -270,38 +241,50 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
     """Materialize the channel design for a total sample count n."""
     M, N = _split_n(cfg, n)
 
-    u_rule = dict(cfg.design.get("u_rule") or {"kind": "equispaced", "a": 0.0, "b": 1.0})
+    u_rule = dict(cfg.design.get("u_rule") or {"kind": "equispaced"})
     if u_rule.get("kind") == "equispaced":
         a = float(u_rule.get("a", 0.0))
         b = float(u_rule.get("b", 1.0))
         u = tuple(a + (b - a) * l / M for l in range(1, M + 1))
-    else:
-        u = tuple(float(x) for x in u_rule["values"])
+    elif u_rule.get("kind") == "explicit":
+        u = tuple(float(x) for x in _require(u_rule, "values", "design.u_rule"))
         if len(u) != M:
             raise ConfigError(f"u_rule.values must have M = {M} entries")
-
-    d_rule = dict(cfg.design.get("d_rule") or {"kind": "constant", "value": 0.0})
-    kind = d_rule["kind"]
-    if kind == "constant":
-        d = tuple(float(d_rule["value"]) for _ in u)
-    elif kind == "linear":
-        a1, a2 = float(d_rule["a1"]), float(d_rule["a2"])
-        d = tuple(a1 * ul + a2 for ul in u)
     else:
-        d = tuple(float(x) for x in d_rule["values"])
+        raise ConfigError("design.u_rule.kind must be 'equispaced' or 'explicit'")
+
+    # ChannelDesign and NoiseModel hold the range 0 <= d_l < 1/2
+    d_rule = dict(cfg.design.get("d_rule") or {"kind": "constant", "value": 0.0})
+    kind = d_rule.get("kind")
+    if kind == "constant":
+        d = (float(_require(d_rule, "value", "design.d_rule")),) * M
+    elif kind == "linear":
+        a1 = float(_require(d_rule, "a1", "design.d_rule"))
+        a2 = float(_require(d_rule, "a2", "design.d_rule"))
+        if not (0.0 <= a2 < D_STAR_LIMIT and 0.0 <= a1 + a2 < D_STAR_LIMIT):
+            # d = a1 u + a2 must fit for every u in [0, 1], not only at the channels
+            raise ConfigError(
+                "design.d_rule linear coefficients violate "
+                f"0 <= a2 < 1/2 and 0 <= a1 + a2 < 1/2 (got a1={a1}, a2={a2})"
+            )
+        d = tuple(a1 * ul + a2 for ul in u)
+    elif kind == "explicit":
+        d = tuple(float(x) for x in _require(d_rule, "values", "design.d_rule"))
         if len(d) != M:
             raise ConfigError(f"d_rule.values must have M = {M} entries")
+    else:
+        raise ConfigError("design.d_rule.kind must be constant, linear or explicit")
 
-    noise_kind = cfg.noise.get("kind", "farima")
+    noise_kind = _require(cfg.noise, "kind", "noise")
     scale = float(cfg.noise.get("scale", 1.0))
     if noise_kind == "white":
         if any(dl != 0.0 for dl in d):
             raise ConfigError("noise.kind=white requires all d_l = 0 (white noise has d = 0)")
         models = tuple(NoiseModel.white(scale) for _ in d)
-    elif noise_kind == "farima":
-        models = tuple(NoiseModel.farima(dl, scale) for dl in d)
-    else:
+    elif noise_kind == "fgn":
         models = tuple(NoiseModel.fgn(dl + 0.5, scale) for dl in d)
+    else:  # farima; NoiseModel rejects any other kind
+        models = tuple(NoiseModel(noise_kind, dl, scale) for dl in d)
 
     design = ChannelDesign(u, d, N, models)
     _assert_eps_window(design)
@@ -320,7 +303,7 @@ def _assert_eps_window(design: ChannelDesign):
 
 def build_kernel(cfg: RunConfig) -> BlurKernel:
     spec = cfg.kernel
-    kind = spec["kind"]
+    kind = _require(spec, "kind", "kernel")
     if kind == "table":
         return load_kernel_table(spec["table_path"])
     return BlurKernel(
@@ -335,14 +318,15 @@ def build_truth(cfg: RunConfig) -> FourierSeries:
         raise ConfigError("this command requires a 'truth' section")
     params = dict(cfg.truth.get("params") or {})
     params.setdefault("amplitude", float(cfg.truth.get("amplitude", 1.0)))
-    return make_test_function(cfg.truth["kind"], int(cfg.truth["band"]), params)
+    return make_test_function(_require(cfg.truth, "kind", "truth"),
+                              int(_require(cfg.truth, "band", "truth")), params)
 
 
 def build_estimator_config(cfg: RunConfig) -> EstimatorConfig:
     est = cfg.estimator
     override = est.get("level_override")
     if override is not None:
-        override = (int(override[0]), int(override[1]))
+        override = tuple(int(j) for j in override)  # EstimatorConfig unpacks (j0, J)
     return EstimatorConfig(
         mu=float(est.get("mu", 1.0)),
         nu=float(est.get("nu", 1.0)),
@@ -364,7 +348,7 @@ def build_ball(cfg: RunConfig) -> BesovBall:
         return math.inf if x in ("inf", ".inf") else float(x)
 
     return BesovBall(
-        s=float(ball["s"]), p=_num(ball.get("p", 2.0)),
+        s=float(_require(ball, "s", "bench.ball")), p=_num(ball.get("p", 2.0)),
         q=_num(ball.get("q", 2.0)), radius=float(ball.get("radius", 1.0)),
     )
 
@@ -372,4 +356,5 @@ def build_ball(cfg: RunConfig) -> BesovBall:
 def eigencheck_models(cfg: RunConfig) -> list[NoiseModel]:
     if cfg.eigencheck is None:
         raise ConfigError("this command requires an 'eigencheck' section")
-    return [_noise_model_from(dict(spec)) for spec in cfg.eigencheck["models"]]
+    return [_noise_model_from(dict(spec))
+            for spec in _require(cfg.eigencheck, "models", "eigencheck")]

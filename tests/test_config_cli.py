@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from lrdeconv.channels import save_kernel_table, simulate_observations
-from lrdeconv.cli import _load_y, main
+from lrdeconv.cli import COMMANDS, _load_y, main
 from lrdeconv.config import (
     build_kernel,
     build_truth,
@@ -119,6 +119,59 @@ estimator:
 """
 
 
+# What every subcommand's --dry-run prints on each shipped config: loading
+# checks every section, so a stricter load must still accept all of them.
+SHIPPED_DRY_RUNS = {
+    "boxcar-regular": {
+        "simulate": "simulate: M=256 N=256 n=65536 band=40",
+        "estimate": "estimate: n*=8648.48 j0=2 J=2",
+        "bench": """\
+n=16384 M=128 N=128 n*=2718.82 j0=2 J=2 (linear estimator, no detail levels)
+n=32768 M=128 N=256 n*=4305.51 j0=2 J=2 (linear estimator, no detail levels)
+n=65536 M=256 N=256 n*=8648.48 j0=2 J=2 (linear estimator, no detail levels)
+n=131072 M=256 N=512 n*=13773.1 j0=2 J=2 (linear estimator, no detail levels)
+n=262144 M=512 N=512 n*=27613.4 j0=2 J=2 (linear estimator, no detail levels)
+n=524288 M=512 N=1024 n*=44199.7 j0=3 J=3 (linear estimator, no detail levels)
+n=1048576 M=1024 N=1024 n*=88519.2 j0=3 J=3 (linear estimator, no detail levels)""",
+        "eigencheck": "eigencheck: 7 models x N in [64, 128, 256, 512, 1024]",
+        "characterize": "characterize: m range 8..64 on M=256 N=256",
+    },
+    "heat-supersmooth-d0": {
+        "simulate": "simulate: M=256 N=256 n=65536 band=1",
+        "estimate": "estimate: n*=65536 j0=1 J=1",
+        "bench": """\
+n=16384 M=128 N=128 n*=16384 j0=1 J=1 (linear estimator, no detail levels)
+n=32768 M=128 N=256 n*=32768 j0=1 J=1 (linear estimator, no detail levels)
+n=65536 M=256 N=256 n*=65536 j0=1 J=1 (linear estimator, no detail levels)
+n=131072 M=256 N=512 n*=131072 j0=1 J=1 (linear estimator, no detail levels)
+n=262144 M=512 N=512 n*=262144 j0=1 J=1 (linear estimator, no detail levels)
+n=524288 M=512 N=1024 n*=524288 j0=1 J=1 (linear estimator, no detail levels)
+n=1048576 M=1024 N=1024 n*=1.04858e+06 j0=1 J=1 (linear estimator, no detail levels)
+n=2097152 M=1024 N=2048 n*=2.09715e+06 j0=1 J=1 (linear estimator, no detail levels)""",
+        "characterize": "characterize: m range 4..24 on M=256 N=256",
+    },
+    "heat-supersmooth-d04": {
+        "simulate": "simulate: M=256 N=256 n=65536 band=1",
+        "estimate": "estimate: n*=14459.6 j0=1 J=1",
+        "bench": """\
+n=16384 M=128 N=128 n*=4068.53 j0=1 J=1 (linear estimator, no detail levels)
+n=32768 M=128 N=256 n*=7167.15 j0=1 J=1 (linear estimator, no detail levels)
+n=65536 M=256 N=256 n*=14459.6 j0=1 J=1 (linear estimator, no detail levels)
+n=131072 M=256 N=512 n*=25805.5 j0=1 J=1 (linear estimator, no detail levels)
+n=262144 M=512 N=512 n*=51863.7 j0=1 J=1 (linear estimator, no detail levels)
+n=524288 M=512 N=1024 n*=93563.3 j0=1 J=1 (linear estimator, no detail levels)
+n=1048576 M=1024 N=1024 n*=187635 j0=1 J=1 (linear estimator, no detail levels)
+n=2097152 M=1024 N=2048 n*=341584 j0=1 J=1 (linear estimator, no detail levels)""",
+        "characterize": "characterize: m range 4..24 on M=256 N=256",
+    },
+    "noiseless-exact": {
+        "simulate": "simulate: M=1 N=1024 n=1024 band=40",
+        "estimate": "estimate: n*=1024 j0=3 J=7",
+        "characterize": "characterize: m range 4..64 on M=1 N=1024",
+    },
+}
+
+
 def write_config(tmp_path, text, name="cfg.yaml", out=None):
     out_dir = out or (tmp_path / "out")
     path = tmp_path / name
@@ -158,9 +211,8 @@ class TestConfigRoundTrip:
     def test_white_noise_requires_d_zero(self, tmp_path):
         text = BASE_CONFIG.replace("kind: farima", "kind: white")
         path, _ = write_config(tmp_path, text)
-        cfg = load_config(path)
-        with pytest.raises(ConfigError):
-            design_for_n(cfg, 1024)
+        with pytest.raises(ConfigError, match="white requires all d_l = 0"):
+            load_config(path)  # the design is built, and rejected, at load
 
 
 class TestCliValidation:
@@ -209,6 +261,11 @@ class TestCliValidation:
     @pytest.mark.parametrize("key, value", [
         ("seed", "abc"), ("estimator.mu", "abc"), ("design.n", "abc"), ("bench.reps", "abc"),
         ("truth.band", "abc"), ("design", 5), ("LRD_DECONV_THREADS", "abc"),
+        ("kernel.q0", "abc"), ("truth.params.m0", "abc"), ("characterize.m_min", "abc"),
+        pytest.param("design.u_rule", {"kind": "explicit"}, id="u_rule-without-values"),
+        pytest.param("bench.n_grid", [16384, 16385], id="n_grid-not-a-power-of-2"),
+        pytest.param("design.n", None, id="n-missing"),
+        pytest.param("estimator.level_override", [3], id="level_override-one-level"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, key, value):
         raw = yaml.safe_load((CONFIGS / "boxcar-regular.yaml").read_text())
@@ -232,9 +289,32 @@ class TestCliValidation:
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "UTF-8" in err
+
     def test_config_directory_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path)]) == 3
         assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_config_dry_runs(path, tmp_path, capsys):
+    # a command whose section the config lacks exits 1 and names the section
+    plans = SHIPPED_DRY_RUNS[path.stem]
+    for command in COMMANDS:
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--dry-run"])
+        out, err = capsys.readouterr()
+        if command in plans:
+            assert (code, out, err) == (0, plans[command] + "\n", "")
+        else:
+            assert code == 1 and out == "" and err.startswith("config error:")
+            assert "section" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSimulateEstimate:
