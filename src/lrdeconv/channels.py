@@ -35,6 +35,7 @@ __all__ = [
     "BlurKernel",
     "KernelFit",
     "kernel_fourier",
+    "require_alias_free",
     "simulate_observations",
     "tau_kappa",
     "delta_kappa",
@@ -236,23 +237,45 @@ def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarra
     return g[np.ix_(order[pos], cols)].T  # (len(u), len(m))
 
 
+def require_alias_free(f: FourierSeries, design: ChannelDesign) -> None:
+    """Raise ConfigError unless the truth's band lies in the design's
+    alias-free band |m| <= N/2 - 1."""
+    if f.band > design.N // 2 - 1:
+        raise ConfigError(f"truth band {f.band} exceeds alias-free band {design.N // 2 - 1}")
+
+
 def simulate_observations(f: FourierSeries, design: ChannelDesign,
                           kernel: BlurKernel, seed) -> np.ndarray:
     """M x N observation matrix: blurred truth plus per-channel noise rows.
 
     Channel l's noise stream is seeded by spawn key (l,) off the master
-    seed, so rows are reproducible independently of generation order.
+    seed, so rows are reproducible independently of generation order.  The
+    blurred truth is computed once per (truth, design, kernel).
+    """
+    require_alias_free(f, design)
+    noise = sample_paths(design.noise, design.N, seed)
+    noise += _blurred_truth(f.band, f.values.tobytes(), design, kernel)
+    return noise
+
+
+@functools.lru_cache(maxsize=4)
+def _blurred_truth(band: int, values: bytes, design: ChannelDesign,
+                   kernel: BlurKernel) -> np.ndarray:
+    """(g(u_l, .) * f)(t_i) on the M x N grid, N ifft(g_m(u_l) f_m); read-only.
+
+    The truth is keyed by its band and the bytes of its coefficients, so a
+    truth whose values change is a new entry.
     """
     N = design.N
-    if f.band > N // 2 - 1:
-        raise ConfigError(f"truth band {f.band} exceeds alias-free band {N // 2 - 1}")
-    g = kernel_fourier(kernel, design.u_array(), f.m)  # (M, 2B+1)
+    m = np.arange(-band, band + 1)
+    g = kernel_fourier(kernel, design.u_array(), m)  # (M, 2B+1)
     assembled = np.zeros((design.M, N), dtype=complex)
-    idx = np.mod(f.m, N)
-    assembled[:, idx] = g * f.values[None, :]
-    signal = (N * np.fft.ifft(assembled, axis=1)).real
-    noise = sample_paths(design.noise, N, seed)
-    return signal + noise
+    assembled[:, np.mod(m, N)] = g * np.frombuffer(values, dtype=complex)[None, :]
+    np.fft.ifft(assembled, axis=1, out=assembled)
+    assembled *= N
+    signal = assembled.real.copy()
+    signal.flags.writeable = False
+    return signal
 
 
 def tau_kappa(design: ChannelDesign, kernel: BlurKernel, m, kappa: int) -> np.ndarray:

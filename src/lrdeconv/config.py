@@ -16,7 +16,13 @@ from typing import Any
 
 import yaml
 
-from .channels import BlurKernel, ChannelDesign, epsilon_n, load_kernel_table
+from .channels import (
+    BlurKernel,
+    ChannelDesign,
+    epsilon_n,
+    load_kernel_table,
+    require_alias_free,
+)
 from .errors import ConfigError
 from .estimator import EstimatorConfig, choose_levels
 from .fourier import FourierSeries
@@ -136,7 +142,8 @@ def validate_config(cfg: RunConfig):
     BlurKernel, EstimatorConfig, BesovBall, make_test_function), so this
     checks the keys and the few rules no builder makes, then builds the
     design at ``design.n`` and at every ``bench.n_grid`` point and each
-    object the commands build.  The kernel table is not read here: the
+    object the commands build, and checks the truth's band against every
+    design built.  The kernel table is not read here: the
     commands read it, and a missing one is an I/O failure.
     """
     if cfg.seed < 0 or cfg.seed >= 2 ** 64:
@@ -155,9 +162,10 @@ def validate_config(cfg: RunConfig):
     elif not cfg.kernel.get("table_path"):
         raise ConfigError("kernel.kind=table requires kernel.table_path")
 
+    truth = None
     if cfg.truth is not None:
         _check_keys(cfg.truth, {"kind", "band", "amplitude", "params"}, "truth")
-        build_truth(cfg)
+        truth = build_truth(cfg)
 
     _check_keys(cfg.estimator, {"mu", "nu", "lambda1", "alpha1", "beta",
                                 "denom_tol", "level_override"}, "estimator")
@@ -179,6 +187,8 @@ def validate_config(cfg: RunConfig):
 
     for n in sizes:
         built = design_for_n(cfg, int(n))
+        if truth is not None:
+            require_alias_free(truth, built)
         if est.level_override is not None:
             choose_levels(epsilon_n(built)[1], est, built.N)  # raises above the band
 

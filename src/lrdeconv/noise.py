@@ -38,6 +38,9 @@ __all__ = [
 # Embedding spectra below -NEG_TOL * gamma(0) reject the embedding.
 NEG_TOL = 1e-10
 DENSE_EIGEN_LIMIT = 4096
+# Embedding points per block of rows that ``sample_paths`` draws and
+# transforms together: about 3 MB of buffers.
+_BLOCK_POINTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -166,24 +169,30 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-@functools.lru_cache(maxsize=4096)
-def _embedding_spectrum(model: NoiseModel, n_points: int):
-    """FFT spectrum of the circulant embedding of size m = 2(N-1) (1 for N = 1).
+@functools.lru_cache(maxsize=4)
+def _embedding_spectra(models: tuple, n_points: int) -> np.ndarray:
+    """sqrt(spectrum / m) of each model's circulant embedding, one row per model.
 
-    Returns (sqrt(spectrum / m), m); raises NumericError when an entry of the
-    spectrum lies below -NEG_TOL * gamma(0).
+    The embedding has size m = 2(N-1) (1 for N = 1).  Rows are read-only;
+    raises NumericError when an entry of a spectrum lies below
+    -NEG_TOL * gamma(0).
     """
-    gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
-    c = np.concatenate([gamma, gamma[-2:0:-1]])  # [gamma(0)] alone for N = 1
-    m = c.size
-    eigs = np.fft.fft(c).real
-    if eigs.min() < -NEG_TOL * gamma[0]:
-        raise NumericError(
-            f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
-            f"N = {n_points} has spectrum {eigs.min():.3g} < -{NEG_TOL:g} gamma(0); "
-            "the covariance cannot be sampled exactly"
-        )
-    return np.sqrt(np.clip(eigs, 0.0, None) / m), m
+    eigs = []
+    for model in models:
+        gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
+        c = np.concatenate([gamma, gamma[-2:0:-1]])  # [gamma(0)] alone for N = 1
+        eig = np.fft.fft(c).real
+        if eig.min() < -NEG_TOL * gamma[0]:
+            raise NumericError(
+                f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
+                f"N = {n_points} has spectrum {eig.min():.3g} < -{NEG_TOL:g} gamma(0); "
+                "the covariance cannot be sampled exactly"
+            )
+        eigs.append(eig)
+    eigs = np.array(eigs)
+    sqrt_spec = np.sqrt(np.clip(eigs, 0.0, None) / eigs.shape[1])
+    sqrt_spec.flags.writeable = False
+    return sqrt_spec
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -192,33 +201,50 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _draw_embedding_normals(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Conjugate-symmetric complex Gaussian weights for one embedding draw."""
-    z = rng.standard_normal(m)
-    xi = np.empty(m, dtype=complex)
-    half = m // 2
-    xi[0] = z[0]
-    if m % 2 == 0:
-        xi[half] = z[1]
-        a = z[2 : 2 + half - 1]
-        b = z[2 + half - 1 :]
-        xi[1:half] = (a + 1j * b) / math.sqrt(2.0)
-        xi[half + 1 :] = np.conj(xi[1:half][::-1])
-    else:
-        a = z[1 : 1 + half]
-        b = z[1 + half :]
-        xi[1 : half + 1] = (a + 1j * b) / math.sqrt(2.0)
-        xi[half + 1 :] = np.conj(xi[1 : half + 1][::-1])
-    return xi
+def _sample_rows(seeds, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
+    """Row i: the first n_points of fft(sqrt_spec[i] * xi_i), xi_i drawn from seeds[i].
+
+    xi_i holds conjugate-symmetric complex Gaussian weights built from one
+    standard_normal(m) draw z: xi[0] = z[0], xi[m/2] = z[1] for even m, then
+    xi[k] = (a_k + i b_k) / sqrt(2) for 1 <= k <= p and xi[m-k] = conj(xi[k]),
+    with a and b the next two runs of p draws.  Rows are assembled a block at
+    a time, in place in the real and imaginary views, with the roundings of
+    the complex arithmetic this spells out; the block's buffers stay small
+    enough to remain in cache between the draws, the assembly and the FFT.
+    """
+    rows, m = sqrt_spec.shape
+    p = (m - 1) // 2  # conjugate pairs; m is even except m = 1 at N = 1
+    o = m - 2 * p  # draws before the pairs: z[0] and, for even m, the Nyquist z[1]
+    block = min(rows, max(1, _BLOCK_POINTS // m))
+    z = np.empty((block, m))
+    xi = np.empty((block, m), dtype=complex)
+    out = np.empty((rows, n_points))
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        zb, xb = z[: stop - start], xi[: stop - start]
+        for z_row, seed in zip(zb, seeds[start:stop]):
+            np.random.default_rng(seed).standard_normal(out=z_row)
+        re, im = xb.real, xb.imag
+        re[:, 0], im[:, 0] = zb[:, 0], 0.0
+        re[:, p + 1 : m - p], im[:, p + 1 : m - p] = zb[:, 1:o], 0.0
+        # numpy divides complex by a real r as a multiply by 1 / r
+        np.multiply(zb[:, o : o + p], 1 / math.sqrt(2.0), out=re[:, 1 : p + 1])
+        np.multiply(zb[:, o + p :], 1 / math.sqrt(2.0), out=im[:, 1 : p + 1])
+        re[:, m - p :] = re[:, p:0:-1]
+        np.negative(im[:, p:0:-1], out=im[:, m - p :])
+        re *= sqrt_spec[start:stop]
+        im *= sqrt_spec[start:stop]
+        np.fft.fft(xb, axis=1, out=xb)
+        out[start:stop] = re[:, :n_points]
+    return out
 
 
 def sample_path(model: NoiseModel, n_points: int, seed) -> np.ndarray:
     """One exact draw from N(0, [gamma(j-k)]), deterministic in (model, n, seed)."""
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
-    rng = np.random.default_rng(_as_seed_sequence(seed))
-    sqrt_spec, m = _embedding_spectrum(model, n_points)
-    return np.fft.fft(sqrt_spec * _draw_embedding_normals(rng, m)).real[:n_points]
+    sqrt_spec = _embedding_spectra((model,), n_points)
+    return _sample_rows([_as_seed_sequence(seed)], sqrt_spec, n_points)[0]
 
 
 def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
@@ -229,13 +255,9 @@ def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
     whether rows are produced jointly (batched FFT) or one at a time.
     """
     root = _as_seed_sequence(master_seed)
-    embs = [_embedding_spectrum(mod, n_points) for mod in models]
-    weighted = np.empty((len(embs), embs[0][1] if embs else 1), dtype=complex)
-    for i, (sqrt_spec, m) in enumerate(embs):
-        seed = np.random.SeedSequence(root.entropy, spawn_key=tuple(root.spawn_key) + (i,))
-        weighted[i] = sqrt_spec * _draw_embedding_normals(np.random.default_rng(seed), m)
-    # a copy, so the caller does not keep the embedding-length complex FFT alive
-    return np.fft.fft(weighted, axis=1).real[:, :n_points].copy()
+    seeds = [np.random.SeedSequence(root.entropy, spawn_key=tuple(root.spawn_key) + (i,))
+             for i in range(len(models))]
+    return _sample_rows(seeds, _embedding_spectra(tuple(models), n_points), n_points)
 
 
 def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary:

@@ -289,6 +289,21 @@ class TestCliValidation:
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
 
+    def test_truth_band_above_a_design_band_exits_1_at_load(self, tmp_path, capsys):
+        # design.n = 65536 has N = 256, so the alias-free band is 127
+        text = (CONFIGS / "boxcar-regular.yaml").read_text()
+        assert "band: 40\n" in text
+        path = tmp_path / "wide-truth.yaml"
+        path.write_text(text.replace("band: 40\n", "band: 200\n"))
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                             *dry_run])
+                out, err = capsys.readouterr()
+                assert (code, out) == (1, "")
+                assert err == "config error: truth band 200 exceeds alias-free band 127\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "utf16.yaml"
         path.write_bytes(b"\xff\xfe")

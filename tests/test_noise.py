@@ -213,12 +213,13 @@ class TestEmbeddingGuard:
     @pytest.mark.parametrize("kind", ["farima", "fgn"])
     def test_no_embedding_rejected(self, kind):
         # the uncached function, so the large sizes do not stay in the cache
-        spectrum = noise._embedding_spectrum.__wrapped__
+        spectra = noise._embedding_spectra.__wrapped__
         worst = math.inf
         for d in np.linspace(0.0, 0.499, 60):
             model = NoiseModel(kind, float(d)) if d > 0 else NoiseModel.white()
             for n in (2, 3, 16, 127, 1024, 4096, 65536):
-                sqrt_spec, m = spectrum(model, n)
+                sqrt_spec = spectra((model,), n)
+                m = sqrt_spec.shape[1]
                 gamma0 = float(autocovariance(model, 0))
                 worst = min(worst, float(np.min(sqrt_spec ** 2 * m)) / gamma0)
         assert worst >= 1e-3
@@ -230,11 +231,11 @@ class TestEmbeddingGuard:
             return np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0))
 
         monkeypatch.setattr(noise, "autocovariance", not_positive_definite)
-        noise._embedding_spectrum.cache_clear()
+        noise._embedding_spectra.cache_clear()
         try:
             with pytest.raises(NumericError, match="circulant embedding"):
                 sample_paths([NoiseModel.farima(0.2)] * 2, 4, master_seed=0)
             with pytest.raises(NumericError):
                 sample_path(NoiseModel.farima(0.2), 4, seed=0)
         finally:
-            noise._embedding_spectrum.cache_clear()
+            noise._embedding_spectra.cache_clear()

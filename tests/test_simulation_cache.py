@@ -1,0 +1,225 @@
+"""The block-assembled sampler and the cached blurred truth: ``sample_path``,
+``sample_paths`` and ``simulate_observations`` match, bit for bit, the
+per-row sampler and the per-call signal they replaced."""
+
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lrdeconv import channels, noise
+from lrdeconv.channels import (
+    BlurKernel,
+    ChannelDesign,
+    _blurred_truth,
+    kernel_fourier,
+    simulate_observations,
+)
+from lrdeconv.fourier import FourierSeries
+from lrdeconv.noise import NoiseModel, autocovariance, sample_path, sample_paths
+
+
+# ------------------------------------------------------- reference sampler
+# The sampler as it was before the rows were assembled in blocks: one
+# spectrum per model, and the weights built row by row in complex arithmetic.
+
+def reference_embedding_spectrum(model, n_points):
+    gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
+    c = np.concatenate([gamma, gamma[-2:0:-1]])
+    m = c.size
+    eigs = np.fft.fft(c).real
+    return np.sqrt(np.clip(eigs, 0.0, None) / m), m
+
+
+def reference_draw_embedding_normals(rng, m):
+    z = rng.standard_normal(m)
+    xi = np.empty(m, dtype=complex)
+    half = m // 2
+    xi[0] = z[0]
+    if m % 2 == 0:
+        xi[half] = z[1]
+        a = z[2 : 2 + half - 1]
+        b = z[2 + half - 1 :]
+        xi[1:half] = (a + 1j * b) / math.sqrt(2.0)
+        xi[half + 1 :] = np.conj(xi[1:half][::-1])
+    else:
+        a = z[1 : 1 + half]
+        b = z[1 + half :]
+        xi[1 : half + 1] = (a + 1j * b) / math.sqrt(2.0)
+        xi[half + 1 :] = np.conj(xi[1 : half + 1][::-1])
+    return xi
+
+
+def as_seed_sequence(seed):
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def reference_sample_path(model, n_points, seed):
+    rng = np.random.default_rng(as_seed_sequence(seed))
+    sqrt_spec, m = reference_embedding_spectrum(model, n_points)
+    return np.fft.fft(sqrt_spec * reference_draw_embedding_normals(rng, m)).real[:n_points]
+
+
+def reference_sample_paths(models, n_points, master_seed):
+    root = as_seed_sequence(master_seed)
+    embs = [reference_embedding_spectrum(mod, n_points) for mod in models]
+    weighted = np.empty((len(embs), embs[0][1]), dtype=complex)
+    for i, (sqrt_spec, m) in enumerate(embs):
+        seed = np.random.SeedSequence(root.entropy, spawn_key=tuple(root.spawn_key) + (i,))
+        weighted[i] = sqrt_spec * reference_draw_embedding_normals(
+            np.random.default_rng(seed), m)
+    return np.fft.fft(weighted, axis=1).real[:, :n_points].copy()
+
+
+def reference_signal(f, design, kernel):
+    """The blurred truth as ``simulate_observations`` computed it in every call."""
+    N = design.N
+    g = kernel_fourier(kernel, design.u_array(), f.m)
+    assembled = np.zeros((design.M, N), dtype=complex)
+    assembled[:, np.mod(f.m, N)] = g * f.values[None, :]
+    return (N * np.fft.ifft(assembled, axis=1)).real
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+# ---------------------------------------------------------------- sampler
+
+models_st = st.one_of(
+    st.builds(NoiseModel.white, st.floats(0.1, 3.0)),
+    st.builds(NoiseModel.farima, st.floats(0.0, 0.499), st.floats(0.1, 3.0)),
+    st.builds(NoiseModel.fgn, st.floats(0.5, 0.999), st.floats(0.1, 3.0)),
+)
+seeds_st = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.builds(np.random.SeedSequence, st.integers(0, 2 ** 32 - 1),
+              spawn_key=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=3).map(tuple)),
+)
+# blocks of one row, of a few rows, and the default of one block for these sizes
+block_st = st.sampled_from([1, 600, 5000, noise._BLOCK_POINTS])
+
+
+class TestSamplerMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(model=models_st, n_points=st.integers(1, 512), seed=seeds_st)
+    def test_sample_path(self, model, n_points, seed):
+        got = sample_path(model, n_points, seed)
+        assert got.shape == (n_points,)
+        assert bits(got) == bits(reference_sample_path(model, n_points, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(models=st.lists(models_st, min_size=1, max_size=12),
+           n_points=st.integers(2, 512), seed=seeds_st, block=block_st)
+    def test_sample_paths(self, models, n_points, seed, block):
+        with mock.patch.object(noise, "_BLOCK_POINTS", block):
+            got = sample_paths(models, n_points, seed)
+        assert got.shape == (len(models), n_points)
+        assert bits(got) == bits(reference_sample_paths(models, n_points, seed))
+
+    @pytest.mark.parametrize("M, N", [(64, 1024), (70, 2048)])  # one block; 32 + 32 + 6 rows
+    def test_fixed_sizes(self, M, N):
+        models = [NoiseModel.farima(0.1 + 0.2 * l / M) for l in range(1, M + 1)]
+        models[::5] = [NoiseModel.fgn(0.8)] * len(models[::5])
+        models[3] = NoiseModel.white(2.0)
+        seed = np.random.SeedSequence(2024, spawn_key=(N, 7))
+        got = sample_paths(models, N, seed)
+        assert bits(got) == bits(reference_sample_paths(models, N, seed))
+
+    def test_spectra_are_read_only_and_cached_per_design(self):
+        models = (NoiseModel.farima(0.3), NoiseModel.white())
+        noise._embedding_spectra.cache_clear()
+        spectra = noise._embedding_spectra(models, 64)
+        with pytest.raises(ValueError):
+            spectra[...] = 0
+        sample_paths(list(models), 64, 1)
+        sample_paths(models, 64, 2)
+        assert noise._embedding_spectra.cache_info().misses == 1
+
+
+# ------------------------------------------------------------ signal cache
+
+def make_case(kind, M=6, N=128, band=20, seed=0):
+    rng = np.random.default_rng(seed)
+    u = tuple(l / (M + 1) for l in range(1, M + 1))
+    d = tuple(0.4 * l / M for l in range(M))
+    design = ChannelDesign(u, d, N, tuple(NoiseModel.farima(dl) for dl in d))
+    if kind == "table":
+        m = np.arange(-band, band + 1)
+        g = rng.normal(size=(m.size, M)) + 1j * rng.normal(size=(m.size, M))
+        kernel = BlurKernel("table", table_m=tuple(int(x) for x in m), table_u=u,
+                            table_g=tuple(g.ravel().tolist()))
+    else:
+        kernel = BlurKernel(kind, c=0.9, q=(1.0, 0.5))
+    values = rng.normal(size=2 * band + 1) + 1j * rng.normal(size=2 * band + 1)
+    return FourierSeries(band, values), design, kernel
+
+
+class TestSignalCache:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["boxcar", "heat", "dirichlet", "table"]),
+           M=st.integers(1, 12), log_n=st.integers(2, 9), data=st.data())
+    def test_cached_signal_is_the_uncached_formula(self, kind, M, log_n, data):
+        N = 2 ** log_n
+        band = data.draw(st.integers(0, N // 2 - 1))
+        f, design, kernel = make_case(kind, M, N, band, seed=data.draw(st.integers(0, 99)))
+        signal = _blurred_truth(f.band, f.values.tobytes(), design, kernel)
+        assert bits(signal) == bits(reference_signal(f, design, kernel))
+        y = simulate_observations(f, design, kernel, 5)
+        want = reference_signal(f, design, kernel) + reference_sample_paths(design.noise, N, 5)
+        assert bits(y) == bits(want)
+
+    def test_changed_truth_values_give_the_new_signal(self):
+        f, design, kernel = make_case("boxcar")
+        first = simulate_observations(f, design, kernel, 3)
+        f.values[5] *= 2.0
+        again = simulate_observations(f, design, kernel, 3)
+        assert bits(again) != bits(first)
+        want = reference_signal(f, design, kernel) + sample_paths(design.noise, design.N, 3)
+        assert bits(again) == bits(want)
+
+    def test_cached_signal_is_read_only_and_results_are_writable(self):
+        f, design, kernel = make_case("heat")
+        y = simulate_observations(f, design, kernel, 4)
+        signal = _blurred_truth(f.band, f.values.tobytes(), design, kernel)
+        with pytest.raises(ValueError):
+            signal[...] = 0
+        y[...] = 0  # the caller owns its observations
+
+    def test_equal_inputs_do_not_recompute_the_kernel(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel_fourier(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "kernel_fourier", counting)
+        _blurred_truth.cache_clear()
+        first = simulate_observations(*make_case("boxcar"), 8)
+        assert len(calls) == 1
+        again = simulate_observations(*make_case("boxcar"), 8)
+        assert len(calls) == 1
+        assert bits(again) == bits(first)
+
+    def test_threads_filling_the_caches_agree(self):
+        cases = [make_case(kind, M=8, N=256, band=30) for kind in ("boxcar", "heat", "table")]
+        seeds = [np.random.SeedSequence(99, spawn_key=(rep,)) for rep in range(4)]
+        jobs = [(case, seed) for case in cases for seed in seeds] * 3
+        want = [reference_signal(*case) + reference_sample_paths(case[1].noise, 256, seed)
+                for case, seed in jobs]
+        _blurred_truth.cache_clear()
+        noise._embedding_spectra.cache_clear()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(simulate_observations, *case, seed) for case, seed in jobs]
+                results = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert [bits(y) for y in results] == [bits(y) for y in want]
