@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -149,6 +150,11 @@ class BlurKernel:
         object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         if len(self.q) != 2:
             raise ConfigError("boxcar weight must be affine: q = (q0, q1)")
+        if not all(math.isfinite(x) for x in (self.c, *self.q)):
+            raise ConfigError("kernel c, q0 and q1 must be finite")
+        if self.kind == "dirichlet" and self.c == 0:
+            raise ConfigError("dirichlet kernel requires c != 0: a zero kernel blinds "
+                              "every channel")
         if self.kind == "table" and (not self.table_m or not self.table_u):
             raise ConfigError("table kernel requires table_m, table_u and table_g")
 
@@ -401,48 +407,44 @@ def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> K
 
 def save_kernel_table(path, m_values, u_values, g_matrix):
     """Write a kernel table: one row per m, columns per channel, entries 're,im'."""
-    g = np.asarray(g_matrix, dtype=complex)
-    with open(path, "w") as fh:
-        fh.write("# kernel table: rows m, columns l; entries re,im\n")
-        fh.write("# u " + " ".join(f"{u:.17g}" for u in u_values) + "\n")
-        for mi, row in zip(m_values, g):
-            cells = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row)
-            fh.write(f"{int(mi)} {cells}\n")
+    g = np.ascontiguousarray(g_matrix, dtype=complex)
+    np.savetxt(path, np.column_stack([m_values, g.view(float)]),
+               fmt="%d" + " %.17g,%.17g" * g.shape[1], comments="# ",
+               header="kernel table: rows m, columns l; entries re,im\n"
+                      "u " + " ".join(f"{u:.17g}" for u in u_values))
+
+
+_TABLE_ROW = re.compile(r"[+-]?\d+(?:\s+[^\s,]+,[^\s,]+)*")
 
 
 def load_kernel_table(path) -> BlurKernel:
-    """Read a kernel table written by ``save_kernel_table``."""
-    u_values: list[float] = []
-    m_values: list[int] = []
-    rows: list[list[complex]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "u":
-                    u_values = [float(x) for x in parts[1:]]
-                continue
-            cells = line.split()
-            m_values.append(int(cells[0]))
-            row = []
-            for cell in cells[1:]:
-                re, im = cell.split(",")
-                row.append(complex(float(re), float(im)))
-            rows.append(row)
-    if not rows or not u_values:
-        raise ConfigError(f"kernel table {path} is empty or lacks a '# u ...' header")
-    widths = {len(r) for r in rows}
-    if widths != {len(u_values)}:
-        raise ConfigError("kernel table rows must match the u header length")
-    g = np.asarray(rows, dtype=complex)
-    if not np.all(np.isfinite(g.view(float))):
-        raise ConfigError("kernel table entries must be finite")
+    """Read a kernel table written by ``save_kernel_table``: the last '# u ...'
+    comment names the channel points, and each other non-blank line is an
+    integer m followed by one 're,im' cell per channel point."""
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+        comments = [line[1:].split() for line in lines if line.startswith("#")]
+        u_rows = [c[1:] for c in comments if c[:1] == ["u"]]
+        rows = [line for line in lines if line and not line.startswith("#")]
+        if not rows or not u_rows or not u_rows[-1]:
+            raise ConfigError("it is empty or lacks a '# u ...' header")
+        u = np.array(u_rows[-1], dtype=float)
+        bad = next((row for row in rows if not _TABLE_ROW.fullmatch(row)), None)
+        if bad is not None:
+            raise ConfigError(f"row {bad!r} is not an integer m and 're,im' cells")
+        data = np.loadtxt([row.replace(",", " ") for row in rows], ndmin=2)
+        if data.shape[1] != 1 + 2 * u.size:
+            raise ConfigError(f"rows have {(data.shape[1] - 1) // 2} cells but the "
+                              f"u header names {u.size} points")
+        if not (np.isfinite(u).all() and np.isfinite(data).all()):
+            raise ConfigError("u values and entries must be finite")
+    except (ConfigError, ValueError) as exc:  # ValueError: a cell numpy cannot parse
+        raise ConfigError(f"kernel table {path}: {exc}") from exc
+    g = np.ascontiguousarray(data[:, 1:]).view(complex)  # keeps the sign of -0.0
     return BlurKernel(
         kind="table",
-        table_m=tuple(m_values),
-        table_u=tuple(u_values),
+        table_m=tuple(data[:, 0].astype(int).tolist()),
+        table_u=tuple(u.tolist()),
         table_g=tuple(g.ravel().tolist()),
     )

@@ -384,22 +384,12 @@ def main(argv=None) -> int:
                 args.threads = int(env)
             except ValueError:
                 raise ConfigError(f"LRD_DECONV_THREADS must be an integer, got {env!r}") from None
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    seed = args.seed if args.seed is not None else cfg.seed
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 1
-    out = Path(args.out if args.out is not None else cfg.output_dir)
-
-    try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
+        out = Path(args.out if args.out is not None else cfg.output_dir)
         if not args.dry_run:
             out.mkdir(parents=True, exist_ok=True)
+        seed = args.seed if args.seed is not None else cfg.seed
         return COMMANDS[args.command](cfg, seed, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

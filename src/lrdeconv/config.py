@@ -17,6 +17,7 @@ from typing import Any
 import yaml
 
 from .channels import (
+    D_MAX,
     BlurKernel,
     ChannelDesign,
     epsilon_n,
@@ -41,8 +42,6 @@ __all__ = [
     "build_estimator_config",
     "build_ball",
 ]
-
-D_STAR_LIMIT = 0.5
 
 
 def _require(mapping: dict, key: str, section: str):
@@ -271,7 +270,7 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
     elif kind == "linear":
         a1 = float(_require(d_rule, "a1", "design.d_rule"))
         a2 = float(_require(d_rule, "a2", "design.d_rule"))
-        if not (0.0 <= a2 < D_STAR_LIMIT and 0.0 <= a1 + a2 < D_STAR_LIMIT):
+        if not (0.0 <= a2 < D_MAX and 0.0 <= a1 + a2 < D_MAX):
             # d = a1 u + a2 must fit for every u in [0, 1], not only at the channels
             raise ConfigError(
                 "design.d_rule linear coefficients violate "
@@ -296,19 +295,7 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
     else:  # farima; NoiseModel rejects any other kind
         models = tuple(NoiseModel(noise_kind, dl, scale) for dl in d)
 
-    design = ChannelDesign(u, d, N, models)
-    _assert_eps_window(design)
-    return design
-
-
-def _assert_eps_window(design: ChannelDesign):
-    """ln(eps_n) must sit inside (-h1 ln n, h2 ln n) with h1, h2 in (0, 1)."""
-    eps, _ = epsilon_n(design)
-    h1_eff = -math.log(eps) / math.log(design.n) if eps < 1.0 else 0.0
-    if h1_eff >= 1.0:
-        raise ConfigError(
-            f"noise-reduction factor decays too fast: -ln(eps_n)/ln(n) = {h1_eff:.3f} >= 1"
-        )
+    return ChannelDesign(u, d, N, models)
 
 
 def build_kernel(cfg: RunConfig) -> BlurKernel:

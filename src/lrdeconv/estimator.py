@@ -140,7 +140,7 @@ def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol:
     g = np.ascontiguousarray(kernel_fourier(kernel, design.u_array(), np.arange(-full, full + 1)))
     w = (float(N) ** (-2.0 * design.d_array()))[:, None]
     denom = np.sum(w * np.abs(g) ** 2, axis=0)
-    ok = denom >= denom_tol * denom.max()
+    ok = (denom >= denom_tol * denom.max()) & (denom > 0)  # an all-zero kernel is blind
     ill_posed = tuple(int(m) - full for m in np.flatnonzero(~ok))
     keep = slice(full - band, full + band + 1)
     arrays = (np.mod(np.arange(-band, band + 1), N),

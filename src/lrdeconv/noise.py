@@ -158,14 +158,17 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
 
     d = model.d
     kf = k.astype(float)
-    log_g = (
-        special.gammaln(1 - 2 * d)
-        + special.gammaln(kf + d)
-        - special.gammaln(d)
-        - special.gammaln(1 - d)
-        - special.gammaln(kf + 1 - d)
-    )
-    out = sigma2 * np.exp(log_g)
+    with np.errstate(invalid="ignore"):
+        log_g = (
+            special.gammaln(1 - 2 * d)
+            + special.gammaln(kf + d)
+            - special.gammaln(d)
+            - special.gammaln(1 - d)
+            - special.gammaln(kf + 1 - d)
+        )
+    # a subnormal d overflows gammaln(d), so lag 0 is inf - inf; there G(k+d)/G(d) = 1
+    lag0 = special.gammaln(1 - 2 * d) - 2 * special.gammaln(1 - d)
+    out = sigma2 * np.exp(np.where(np.isfinite(log_g) | (k != 0), log_g, lag0))
     return out if out.shape else float(out)
 
 
@@ -182,7 +185,7 @@ def _embedding_spectra(models: tuple, n_points: int) -> np.ndarray:
         gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
         c = np.concatenate([gamma, gamma[-2:0:-1]])  # [gamma(0)] alone for N = 1
         eig = np.fft.fft(c).real
-        if eig.min() < -NEG_TOL * gamma[0]:
+        if not eig.min() >= -NEG_TOL * gamma[0]:  # NaN fails too
             raise NumericError(
                 f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
                 f"N = {n_points} has spectrum {eig.min():.3g} < -{NEG_TOL:g} gamma(0); "

@@ -85,6 +85,18 @@ class TestKernelFourier:
         with pytest.raises(ConfigError):
             kernel_fourier(BlurKernel("dirichlet"), 1.5, 1)
 
+    @pytest.mark.parametrize("kwargs", [dict(c=math.nan), dict(c=-math.inf),
+                                        dict(q=(math.nan, 0.0)), dict(q=(1.0, math.inf))])
+    @pytest.mark.parametrize("kind", ["heat", "dirichlet", "boxcar"])
+    def test_nonfinite_numbers_rejected(self, kind, kwargs):
+        with pytest.raises(ConfigError, match="c, q0 and q1 must be finite"):
+            BlurKernel(kind, **kwargs)
+
+    def test_zero_dirichlet_rejected(self):
+        with pytest.raises(ConfigError, match="c != 0"):
+            BlurKernel("dirichlet", c=0.0)
+        assert kernel_fourier(BlurKernel("dirichlet", c=-2.0), 0.5, 1) == -1.0
+
     def test_table_round_trip(self, tmp_path):
         u = [0.2, 0.4]
         m = [-1, 0, 1]
@@ -164,6 +176,114 @@ class TestTableLookup:
             want = lookup_outcome(table_lookup_loop, kernel, bad_u, bad_m)
             assert want[0] == "error"
             assert lookup_outcome(kernel_fourier, kernel, bad_u, bad_m) == want
+
+
+# The kernel-table writer and reader as they were before numpy wrote and
+# parsed the file: the reference for its bytes and for the kernel's bits.
+
+def reference_save_kernel_table(path, m_values, u_values, g_matrix):
+    g = np.asarray(g_matrix, dtype=complex)
+    with open(path, "w") as fh:
+        fh.write("# kernel table: rows m, columns l; entries re,im\n")
+        fh.write("# u " + " ".join(f"{u:.17g}" for u in u_values) + "\n")
+        for mi, row in zip(m_values, g):
+            cells = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row)
+            fh.write(f"{int(mi)} {cells}\n")
+
+
+def reference_load_kernel_table(path):
+    u_values, m_values, rows = [], [], []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if parts and parts[0] == "u":
+                    u_values = [float(x) for x in parts[1:]]
+                continue
+            cells = line.split()
+            m_values.append(int(cells[0]))
+            row = []
+            for cell in cells[1:]:
+                re, im = cell.split(",")
+                row.append(complex(float(re), float(im)))
+            rows.append(row)
+    g = np.asarray(rows, dtype=complex)
+    return BlurKernel(kind="table", table_m=tuple(m_values), table_u=tuple(u_values),
+                      table_g=tuple(g.ravel().tolist()))
+
+
+def kernel_bits(kernel):
+    return (kernel.kind, kernel.table_m, np.array(kernel.table_u).tobytes(),
+            np.array(kernel.table_g, dtype=complex).tobytes())
+
+
+finite_st = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300])
+
+
+class TestKernelTableFile:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bytes_and_bits_match_the_reference(self, data, tmp_path_factory):
+        L = data.draw(st.integers(1, 6))
+        m = data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40) | st.integers(-5, 5),
+                               min_size=1, max_size=12))  # repeats included
+        u = data.draw(st.lists(finite_st, min_size=L, max_size=L))
+        parts = data.draw(st.lists(finite_st, min_size=2 * L * len(m),
+                                   max_size=2 * L * len(m)))
+        g = np.array(parts).view(complex).reshape(len(m), L)
+        g_arg = g.T.copy().T if data.draw(st.booleans()) else g  # Fortran order too
+        folder = tmp_path_factory.mktemp("table")
+        got, want = folder / "got.tbl", folder / "want.tbl"
+        save_kernel_table(got, m, u, g_arg)
+        reference_save_kernel_table(want, m, u, g)
+        assert got.read_bytes() == want.read_bytes()
+        kernel = load_kernel_table(got)
+        assert kernel_bits(kernel) == kernel_bits(reference_load_kernel_table(want))
+        assert all(type(x) is int for x in kernel.table_m)
+
+    def test_comments_blank_lines_and_tabs(self, tmp_path):
+        path = tmp_path / "kernel.tbl"
+        path.write_text("# u 9\n\n2 1,-0\n# a note\n  -1\t-0.5,2e-310  \n"
+                        "# u 0.25\n2 3,4\n")
+        kernel = load_kernel_table(path)
+        assert kernel_bits(kernel) == kernel_bits(reference_load_kernel_table(path))
+        # the last '# u' header wins, and so does the last row of a repeated m
+        assert kernel.table_u == (0.25,)
+        assert kernel_fourier(kernel, 0.25, 2) == 3 + 4j
+
+    @pytest.mark.parametrize("text, reason", [
+        ("# u 0.1 0.2\n0 1,0 1,0\n1 abc 1,0\n", "not an integer m"),
+        ("# u 0.1 0.2\n0 1,0 1,x\n", "could not convert"),
+        ("# u 0.1 0.2\n0 1 0 1 0\n", "not an integer m"),
+        ("# u 0.1 0.2\n0 1,0,2 1,0\n", "not an integer m"),
+        ("# u 0.1 0.2\n0 1,0 1,0\n1 1,0\n", "number of columns"),
+        ("# u 0.1 0.2\n0 1,0 1,0 1,0\n", "u header names 2"),
+        ("# u 0.1 0.2\n0 1,0\n", "u header names 2"),
+        ("# u 0.1 0.2\n1.5 1,0 1,0\n", "not an integer m"),
+        ("0 1,0 1,0\n", "lacks a '# u ...' header"),
+        ("# u\n0 1,0 1,0\n", "lacks a '# u ...' header"),
+        ("# u 0.1 zz\n0 1,0 1,0\n", "could not convert"),
+        ("# u 0.1 0.2\n", "is empty"),
+        ("# u 0.1 0.2\n0 nan,0 1,0\n", "must be finite"),
+        ("# u 0.1 0.2\n0 1,0 1,-inf\n", "must be finite"),
+        ("# u 0.1 inf\n0 1,0 1,0\n", "must be finite"),
+    ])
+    def test_malformed_table_is_config_error_naming_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "kernel.tbl"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=reason) as info:
+            load_kernel_table(path)
+        assert str(info.value).startswith(f"kernel table {path}: ")
+
+    def test_non_utf8_table_is_config_error(self, tmp_path):
+        path = tmp_path / "kernel.tbl"
+        path.write_bytes(b"\xff\xfe# u 0.1\n0 1,0\n")
+        with pytest.raises(ConfigError, match="codec"):
+            load_kernel_table(path)
 
 
 class TestSimulateObservations:

@@ -179,6 +179,13 @@ def write_config(tmp_path, text, name="cfg.yaml", out=None):
     return path, Path(out_dir)
 
 
+def run_cli(args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "lrdeconv.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
 class TestConfigRoundTrip:
     def test_parse_serialize_parse(self, tmp_path):
         path, _ = write_config(tmp_path, BASE_CONFIG)
@@ -223,16 +230,30 @@ class TestCliValidation:
         assert code == 1
         assert "1/2" in capsys.readouterr().err
 
-    def test_missing_config_is_io_error(self, tmp_path):
+    def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
 
-    def test_missing_input_file_is_io_error(self, tmp_path):
+    def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, BASE_CONFIG)
         assert main(["estimate", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
 
-    def test_threads_validation(self, tmp_path):
+    def test_output_path_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, BASE_CONFIG)
+        out.write_text("")
+        assert main(["simulate", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_threads_validation(self, tmp_path, capsys, monkeypatch):
         path, _ = write_config(tmp_path, BASE_CONFIG)
         assert main(["simulate", "--config", str(path), "--threads", "0"]) == 1
+        assert capsys.readouterr().err == "config error: --threads must be >= 1\n"
+        for env, message in (("0", "--threads must be >= 1"),
+                             ("abc", "LRD_DECONV_THREADS must be an integer, got 'abc'")):
+            monkeypatch.setenv("LRD_DECONV_THREADS", env)
+            assert main(["simulate", "--config", str(path), "--dry-run"]) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("nu", ["-0.5", ".nan", ".inf"])
     def test_negative_nu_exit_code_and_message(self, tmp_path, capsys, nu):
@@ -267,12 +288,10 @@ class TestCliValidation:
         pytest.param("design.n", None, id="n-missing"),
         pytest.param("estimator.level_override", [3], id="level_override-one-level"),
     ])
-    def test_malformed_value_is_config_error(self, tmp_path, key, value):
+    def test_malformed_value_is_config_error(self, tmp_path, monkeypatch, key, value):
         raw = yaml.safe_load((CONFIGS / "boxcar-regular.yaml").read_text())
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         if key == "LRD_DECONV_THREADS":
-            env[key] = value
+            monkeypatch.setenv(key, value)
         else:
             *sections, name = key.split(".")
             node = raw
@@ -281,10 +300,8 @@ class TestCliValidation:
             node[name] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lrdeconv.cli", "simulate", "--config", str(path),
-             "--out", str(tmp_path / "out"), "--dry-run"],
-            capture_output=True, text=True, env=env, cwd=tmp_path)
+        proc = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                        "--dry-run"], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
@@ -313,7 +330,76 @@ class TestCliValidation:
 
     def test_config_directory_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path)]) == 3
-        assert str(tmp_path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and str(tmp_path) in err
+
+
+class TestKernelInputs:
+    @pytest.mark.parametrize("damage", [
+        "non-numeric-cell", "not-one-pair", "ragged-row", "wide-rows", "non-integer-m",
+        "missing-header", "malformed-header", "non-finite-entry",
+    ])
+    def test_malformed_table_exits_1_naming_the_file(self, tmp_path, damage):
+        table = tmp_path / "kernel.txt"
+        m = np.arange(-2047, 2048)
+        save_kernel_table(table, m, [0.25, 0.5, 0.75, 1.0], np.ones((m.size, 4)))
+        lines = table.read_text().splitlines(keepends=True)
+        row = lines[5]
+        lines[5] = {
+            "non-numeric-cell": row.replace("1,0", "abc", 1),
+            "not-one-pair": row.replace("1,0", "1 0", 1),
+            "ragged-row": row.rsplit(" ", 1)[0] + "\n",
+            "wide-rows": row,
+            "non-integer-m": row.replace(" ", ".5 ", 1),
+            "missing-header": row,
+            "malformed-header": row,
+            "non-finite-entry": row.replace("1,0", "1,nan", 1),
+        }[damage]
+        if damage == "wide-rows":
+            lines[2:] = [l.rstrip("\n") + " 1,0\n" for l in lines[2:]]
+        elif damage == "missing-header":
+            del lines[1]
+        elif damage == "malformed-header":
+            lines[1] = lines[1].replace("0.5", "0.5x")
+        table.write_text("".join(lines))
+        path, out = write_config(tmp_path, FINE_CONFIG.replace("{table}", str(table)))
+        for args in (["simulate"], ["estimate"], ["estimate", "--dry-run"]):
+            proc = run_cli([*args, "--config", str(path)], tmp_path)
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr.startswith(f"config error: kernel table {table}: ")
+            assert "Traceback" not in proc.stderr
+        assert not (out / "y.csv").exists()
+
+    @pytest.mark.parametrize("kernel, message", [
+        ("kind: dirichlet\n  c: 0", "c != 0"),
+        ("kind: dirichlet\n  c: .nan", "must be finite"),
+        ("kind: boxcar\n  q0: .nan", "must be finite"),
+        ("kind: boxcar\n  q0: 1.0\n  q1: .inf", "must be finite"),
+    ])
+    def test_kernel_numbers_that_gave_nan_exit_1(self, tmp_path, capsys, kernel, message):
+        # u in (0, 1), so the Dirichlet kernel is defined at every channel
+        text = BASE_CONFIG.replace("a: 0.0, b: 1.0}", "a: 0.0, b: 0.9}")
+        good, out = write_config(tmp_path, text.replace(
+            "kind: boxcar\n  q0: 1.0", "kind: dirichlet\n  c: 0.8"), name="good.yaml")
+        assert main(["simulate", "--config", str(good)]) == 0
+        assert main(["estimate", "--config", str(good)]) == 0
+        assert np.isfinite(np.loadtxt(out / "fhat_grid.csv", delimiter=",", skiprows=5)).all()
+        bad, _ = write_config(tmp_path, text.replace(
+            "kind: boxcar\n  q0: 1.0", kernel), name="bad.yaml")
+        capsys.readouterr()
+        for args in (["simulate"], ["estimate"], ["estimate", "--dry-run"]):
+            assert main([*args, "--config", str(bad), "--out", str(tmp_path / "bad")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_subnormal_memory_exponent_gives_finite_data(self, tmp_path):
+        text = BASE_CONFIG.replace("{{kind: linear, a1: 0.2, a2: 0.1}}",
+                                   "{{kind: constant, value: 1.0e-310}}")
+        path, out = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(path)]) == 0
+        y = np.loadtxt(out / "y.csv", delimiter=",")
+        assert y.shape == (32, 32) and np.isfinite(y).all()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
@@ -558,7 +644,7 @@ class TestCharacterizeCommand:
         assert regime == "regular"
         assert nu == pytest.approx(2.0, abs=0.35)
 
-    def test_degenerate_fit_exit_code(self, tmp_path):
+    def test_degenerate_fit_exit_code(self, tmp_path, capsys):
         # heat kernel far from the boundary: every g_m underflows to zero
         text = BASE_CONFIG.replace("kind: boxcar", "kind: heat").replace(
             "u_rule: {{kind: equispaced, a: 0.0, b: 1.0}}",
@@ -568,3 +654,4 @@ class TestCharacterizeCommand:
             "kind: farima", "kind: white")
         path, out = write_config(tmp_path, text)
         assert main(["characterize", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("numeric error:")

@@ -148,6 +148,16 @@ class TestBandedDeconvolution:
         ill.clear()
         assert 2 in fourier_deconvolve(y, design, BlurKernel("boxcar"), band=5)[1]
 
+    @pytest.mark.filterwarnings("error")  # no 0/0
+    def test_all_zero_kernel_is_ill_posed_everywhere(self):
+        design = make_design([0.3, 0.6], [0.1, 0.2], 64)
+        zero = BlurKernel("table", table_m=tuple(range(-31, 32)), table_u=(0.3, 0.6),
+                          table_g=(0j,) * 126)
+        y = np.random.default_rng(0).normal(size=(2, 64))
+        values, ill = fourier_deconvolve(y, design, zero)
+        assert ill == list(range(-31, 32))
+        assert not values.values.any()
+
 
 class TestWeightCache:
     def test_equal_design_does_not_recompute_the_kernel(self, monkeypatch):

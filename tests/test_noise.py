@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lrdeconv import noise
@@ -115,6 +117,21 @@ class TestAutocovariance:
         val, err = quad(lambda lam: spectral_density(model, lam),
                         1e-10, math.pi, limit=200)
         assert autocovariance(model, 0) == pytest.approx(2 * val, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.floats(0.0, 1e-300, exclude_min=True), scale=st.floats(0.1, 3.0),
+           n_points=st.integers(1, 64))
+    @example(d=5e-324, scale=1.0, n_points=4)
+    @example(d=2.225073858507e-311, scale=1.0, n_points=128)
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_and_tiny_d_are_finite(self, d, scale, n_points):
+        # gammaln(d) overflows for a subnormal d; lag 0 is then G(1-2d)/G(1-d)^2
+        model = NoiseModel.farima(d, scale)
+        gamma = autocovariance(model, np.arange(n_points))
+        assert np.all(np.isfinite(gamma))
+        assert gamma[0] == pytest.approx(scale ** 2, rel=1e-12)
+        assert np.all(np.abs(gamma[1:]) <= 1e-299 * scale ** 2)
+        assert np.all(np.isfinite(sample_path(model, n_points, seed=0)))
 
     def test_symmetry(self):
         model = NoiseModel.fgn(hurst=0.8)
@@ -236,6 +253,16 @@ class TestEmbeddingGuard:
             with pytest.raises(NumericError, match="circulant embedding"):
                 sample_paths([NoiseModel.farima(0.2)] * 2, 4, master_seed=0)
             with pytest.raises(NumericError):
+                sample_path(NoiseModel.farima(0.2), 4, seed=0)
+        finally:
+            noise._embedding_spectra.cache_clear()
+
+    def test_nan_covariance_raises(self, monkeypatch):
+        # the guard is written so that NaN fails it
+        monkeypatch.setattr(noise, "autocovariance", lambda model, lag: np.full(len(lag), np.nan))
+        noise._embedding_spectra.cache_clear()
+        try:
+            with pytest.raises(NumericError, match="circulant embedding"):
                 sample_path(NoiseModel.farima(0.2), 4, seed=0)
         finally:
             noise._embedding_spectra.cache_clear()
