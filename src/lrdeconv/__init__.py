@@ -1,10 +1,11 @@
 """Multichannel Fourier deconvolution under long-range dependent Gaussian noise.
 
-Subpackages: ``noise`` (LRD error laws and exact sampling), ``meyer``
-(periodized Meyer basis in the Fourier domain), ``channels`` (designs,
-kernels, design functionals), ``estimator`` (deconvolution and block
-thresholding), ``riskbench`` (Monte Carlo risk benchmarks), ``cli``
-(configuration-driven command line front end).
+Modules: ``fourier`` (the Fourier convention), ``noise`` (LRD error laws and
+exact sampling), ``meyer`` (periodized Meyer basis in the Fourier domain),
+``channels`` (designs, kernels, design functionals), ``estimator``
+(deconvolution, block thresholding), ``riskbench`` (Monte Carlo risk),
+``config`` (YAML configs), ``errors`` (exceptions mapped to exit codes) and
+``cli`` (configuration-driven command line front end).
 """
 
 __version__ = "0.1.0"

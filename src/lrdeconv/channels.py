@@ -215,23 +215,13 @@ def kernel_fourier(kernel: BlurKernel, u, m) -> np.ndarray:
     return complex(out[0, 0]) if scalar else out
 
 
-@functools.lru_cache(maxsize=16)
-def _table_arrays(kernel: BlurKernel) -> tuple:
-    """(u columns, m rows in sorted order, their row numbers, g as rows x columns),
-    built once per table kernel and read-only."""
+def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
     tab_u = np.asarray(kernel.table_u, dtype=float)
     tab_m = np.asarray(kernel.table_m, dtype=int)
     g = np.asarray(kernel.table_g, dtype=complex).reshape(len(tab_m), len(tab_u))
     # a stable sort keeps repeated m in table order, so the last such row wins
     order = np.argsort(tab_m, kind="stable")
-    arrays = (tab_u, tab_m[order], order, g)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    tab_u, sorted_m, order, g = _table_arrays(kernel)
+    sorted_m = tab_m[order]
     cols = np.argmin(np.abs(tab_u[None, :] - u[:, None]), axis=1)
     no_col = np.abs(tab_u[cols] - u) > 1e-9 * np.maximum(1.0, np.abs(u))
     if no_col.any():

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import characterize_kernel, epsilon_n, simulate_observations
+from .channels import characterize_kernel, epsilon_n, kernel_fourier, simulate_observations
 from .config import (
     RunConfig,
     build_estimator_config,
@@ -121,9 +121,12 @@ def _load_y(path: Path, cfg: RunConfig) -> np.ndarray:
             f"{path} was produced under a different config hash; refusing to mix runs"
         )
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)  # M = 1 stays 1 x N
+        y = np.loadtxt(path, delimiter=",", ndmin=2)  # M = 1 stays 1 x N
     except ValueError as exc:  # a ragged row or a non-numeric cell
         raise ConfigError(f"{path}: {exc}") from exc
+    if not np.isfinite(y).all():
+        raise ConfigError(f"{path}: entries must be finite")
+    return y
 
 
 def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
@@ -200,11 +203,15 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     if cfg.bench is None:
         raise ConfigError("bench command requires a 'bench' section")
     est_cfg = build_estimator_config(cfg)
+    kernel = build_kernel(cfg)
+    if kernel.kind == "table":  # before any replicate: the estimator reads |m| <= N/2 - 1
+        for n in cfg.bench["n_grid"]:
+            design = design_for_n(cfg, int(n))
+            kernel_fourier(kernel, design.u_array(), np.arange(1 - design.N // 2, design.N // 2))
     if args.dry_run:
         for line in _bench_plan(cfg, est_cfg):
             print(line)
         return 0
-    kernel = build_kernel(cfg)
     truth = build_truth(cfg)
     ball = build_ball(cfg) if cfg.bench.get("ball") else None
     fc = None if ball is None else theoretical_rate(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, MissingFrequencyError
 
-__all__ = ["FourierSeries", "coeffs_to_grid", "grid_to_coeffs"]
+__all__ = ["FourierSeries", "coeffs_to_grid"]
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,3 @@ def coeffs_to_grid(series: FourierSeries, grid_size: int) -> np.ndarray:
     assembled = np.zeros(grid_size, dtype=complex)
     np.add.at(assembled, np.mod(series.m, grid_size), series.values)
     return grid_size * np.fft.ifft(assembled)
-
-
-def grid_to_coeffs(samples: np.ndarray, band: int | None = None) -> FourierSeries:
-    """Discrete Fourier coefficients of samples on t_i = i/n for |m| <= band.
-
-    Defaults to the full alias-free band n//2 - 1 (the Nyquist index is
-    ambiguous for real data and is dropped).
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ConfigError("grid_to_coeffs expects a single sampled sequence")
-    n = samples.shape[-1]
-    if band is None:
-        band = n // 2 - 1 if n > 1 else 0
-    if 2 * band + 1 > n:
-        raise ConfigError(f"band {band} not resolvable from {n} samples")
-    coeffs = np.fft.fft(samples) / n
-    m = np.arange(-band, band + 1)
-    return FourierSeries(band, coeffs[np.mod(m, n)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MissingFrequencyError
-from .fourier import FourierSeries, coeffs_to_grid
+from .fourier import FourierSeries
 
 __all__ = [
     "MeyerSpec",
@@ -36,7 +36,6 @@ __all__ = [
     "scaling_frequency_set",
     "needed_band",
     "analyze",
-    "synthesize",
     "synthesize_series",
 ]
 
@@ -105,7 +104,6 @@ class WaveletCoefficients:
     J: int
     scaling: np.ndarray
     detail: dict[int, np.ndarray] = field(default_factory=dict)
-    aux_poly: str = "poly7"
 
     def __post_init__(self):
         self.scaling = np.asarray(self.scaling, dtype=complex)
@@ -119,14 +117,14 @@ class WaveletCoefficients:
                 raise ConfigError(f"level-{j} vector must have length 2^{j}")
 
     @classmethod
-    def zeros(cls, j0: int, J: int, aux_poly: str = "poly7") -> "WaveletCoefficients":
+    def zeros(cls, j0: int, J: int) -> "WaveletCoefficients":
         return cls(j0, J, np.zeros(2 ** j0, dtype=complex),
-                   {j: np.zeros(2 ** j, dtype=complex) for j in range(j0, J)}, aux_poly)
+                   {j: np.zeros(2 ** j, dtype=complex) for j in range(j0, J)})
 
     def copy(self) -> "WaveletCoefficients":
         return WaveletCoefficients(
             self.j0, self.J, self.scaling.copy(),
-            {j: v.copy() for j, v in self.detail.items()}, self.aux_poly,
+            {j: v.copy() for j, v in self.detail.items()},
         )
 
     def energy(self) -> float:
@@ -173,22 +171,14 @@ def _level_window(spec: MeyerSpec, j: int, m: np.ndarray, kind: str) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=256)
-def _member_cache(aux_poly: str, j: int, kind: str) -> np.ndarray:
-    spec = MeyerSpec(0, 0, aux_poly)
+def _level_cache(aux_poly: str, j: int, kind: str) -> tuple:
+    """Level j's members m (|window| > SUPPORT_TOL), residues m mod 2^j,
+    conjugate window (analysis) and window times 2^(-j/2) (synthesis); read-only."""
     limit = int(np.ceil(2 ** (j + 2) / 3.0)) + 2
     m = np.arange(-limit, limit + 1)
-    mags = np.abs(_level_window(spec, j, m, kind))
-    members = m[mags > SUPPORT_TOL]
-    members.flags.writeable = False
-    return members
-
-
-@functools.lru_cache(maxsize=256)
-def _level_cache(aux_poly: str, j: int, kind: str) -> tuple:
-    """Level j's members m, residues m mod 2^j, conjugate window (analysis) and
-    window times 2^(-j/2) (synthesis); read-only."""
-    members = _member_cache(aux_poly, j, kind)
-    window = _level_window(MeyerSpec(0, 0, aux_poly), j, members, kind)
+    window = _level_window(MeyerSpec(0, 0, aux_poly), j, m, kind)
+    keep = np.abs(window) > SUPPORT_TOL
+    members, window = m[keep], window[keep]
     arrays = (members, np.mod(members, 2 ** j), np.conj(window), 2.0 ** (-j / 2.0) * window)
     for a in arrays:
         a.flags.writeable = False
@@ -199,14 +189,14 @@ def frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
     """C_j = {m: psi_{mjk} != 0}; contained in 2^j < 3|m| < 2^(j+2)."""
     if j < 0:
         raise ConfigError("level must be >= 0")
-    return FrequencySet(j, _member_cache(spec.aux_poly, j, "wavelet"))
+    return FrequencySet(j, _level_cache(spec.aux_poly, j, "wavelet")[0])
 
 
 def scaling_frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
     """Frequencies touched by the level-j scaling functions: 3|m| < 2^(j+1)."""
     if j < 0:
         raise ConfigError("level must be >= 0")
-    return FrequencySet(j, _member_cache(spec.aux_poly, j, "scaling"))
+    return FrequencySet(j, _level_cache(spec.aux_poly, j, "scaling")[0])
 
 
 def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") -> np.ndarray:
@@ -253,13 +243,11 @@ def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
 
     scaling = level_coeffs(spec.j0, "scaling")
     detail = {j: level_coeffs(j, "wavelet") for j in spec.detail_levels}
-    return WaveletCoefficients(spec.j0, spec.J, scaling, detail, spec.aux_poly)
+    return WaveletCoefficients(spec.j0, spec.J, scaling, detail)
 
 
-def synthesize_series(coeffs: WaveletCoefficients, spec: MeyerSpec | None = None) -> FourierSeries:
+def synthesize_series(coeffs: WaveletCoefficients, spec: MeyerSpec) -> FourierSeries:
     """Fourier coefficients of the truncated expansion sum a phi + sum b psi."""
-    if spec is None:
-        spec = MeyerSpec(coeffs.j0, coeffs.J, coeffs.aux_poly)
     band = needed_band(spec)
     values = np.zeros(2 * band + 1, dtype=complex)
 
@@ -272,12 +260,3 @@ def synthesize_series(coeffs: WaveletCoefficients, spec: MeyerSpec | None = None
     for j in coeffs.detail.keys():
         add_level(j, coeffs.detail[j], "wavelet")
     return FourierSeries(band, values)
-
-
-def synthesize(coeffs: WaveletCoefficients, grid_size: int,
-               spec: MeyerSpec | None = None) -> np.ndarray:
-    """Evaluate the truncated expansion on t_i = i/grid_size via inverse FFT."""
-    if grid_size < 2 ** coeffs.J or grid_size & (grid_size - 1):
-        raise ConfigError(f"grid_size must be a power of 2 and >= 2^J = {2 ** coeffs.J}")
-    series = synthesize_series(coeffs, spec)
-    return coeffs_to_grid(series, grid_size).real

@@ -450,7 +450,7 @@ class TestSimulateEstimate:
         assert _load_y(out / "y.csv", cfg).tobytes() == y.tobytes()  # parsed bit for bit
 
     @pytest.mark.filterwarnings("ignore:loadtxt")  # header-only: "input contained no data"
-    @pytest.mark.parametrize("damage", ["ragged", "non-numeric", "header-only"])
+    @pytest.mark.parametrize("damage", ["ragged", "non-numeric", "header-only", "nan", "inf"])
     def test_malformed_y_csv_exit_1_names_the_file(self, tmp_path, capsys, damage):
         path, out = write_config(tmp_path, BASE_CONFIG)
         assert main(["simulate", "--config", str(path)]) == 0
@@ -462,15 +462,20 @@ class TestSimulateEstimate:
             data[3] = data[3].rsplit(",", 1)[0] + "\n"
         elif damage == "non-numeric":
             data[3] = "abc," + data[3].split(",", 1)[1]
-        else:
+        elif damage == "header-only":
             data = []
+        else:
+            data[3] = data[3].split(",", 1)[0] + f",{damage}," + data[3].split(",", 2)[2]
         y_csv.write_text("".join(header + data))
         capsys.readouterr()
         assert main(["estimate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(y_csv) in err
-        if damage != "header-only":
+        if damage in ("ragged", "non-numeric"):
             assert "row" in err
+        if damage in ("nan", "inf"):
+            assert err.endswith(": entries must be finite\n")
+            assert not (out / "fhat_grid.csv").exists()
 
     def test_manifest_contents(self, tmp_path):
         path, out = write_config(tmp_path, BASE_CONFIG)
@@ -605,6 +610,27 @@ class TestBenchCommand:
         out2 = tmp_path / "out3"
         assert main(["bench", "--config", str(path), "--out", str(out2)]) == 0
         assert (out2 / "risk_report.csv").read_bytes() == first
+
+    def test_table_coverage_is_checked_before_any_replicate(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the table covers N = 4096 (n = 16384) but not N = 8192 (n = 32768)
+        table = tmp_path / "kernel.txt"
+        m = np.arange(-2047, 2048)
+        save_kernel_table(table, m, [0.25, 0.5, 0.75, 1.0], np.ones((m.size, 4)))
+        text = FINE_CONFIG.replace("{table}", str(table))
+        path, out = write_config(tmp_path, text + "bench:\n  n_grid: [16384, 32768]\n"
+                                                  "  reps: 30\n")
+        calls = []
+        monkeypatch.setattr("lrdeconv.cli.mc_risk", lambda *a, **k: calls.append(a))
+        for args in (["bench", "--dry-run"], ["bench"]):
+            assert main([*args, "--config", str(path)]) == 1
+            out_text, err = capsys.readouterr()
+            assert out_text == ""
+            assert err == "config error: kernel table has no row for m = -4095\n"
+        assert calls == [] and not (out / "risk_report.csv").exists()
+        covered, _ = write_config(tmp_path, text + "bench:\n  n_grid: [16384]\n  reps: 30\n",
+                                  name="covered.yaml")
+        assert main(["bench", "--dry-run", "--config", str(covered)]) == 0
 
 
 class TestEigencheckCommand:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrdeconv import estimator
-from lrdeconv.channels import BlurKernel, ChannelDesign, _table_arrays, kernel_fourier
+from lrdeconv.channels import BlurKernel, ChannelDesign, kernel_fourier
 from lrdeconv.errors import ConfigError, MissingFrequencyError
 from lrdeconv.estimator import (
     EstimatorConfig,
@@ -21,7 +21,7 @@ from lrdeconv.estimator import (
     fourier_deconvolve,
 )
 from lrdeconv.fourier import FourierSeries
-from lrdeconv.meyer import MeyerSpec, _level_cache, _member_cache, analyze, needed_band
+from lrdeconv.meyer import MeyerSpec, _level_cache, analyze, needed_band
 from lrdeconv.noise import NoiseModel
 
 KINDS = ("boxcar", "heat", "dirichlet", "table")
@@ -207,25 +207,14 @@ class TestWeightCache:
             assert copy == obj and hash(copy) == hash(obj)
         assert "_hash" not in pickle.loads(pickle.dumps(a)).__dict__
 
-    def test_table_arrays_are_built_once_per_kernel(self):
-        u = [0.25, 0.5, 0.75]
-        kernel = make_kernel("table", u, 64, seed=2)
-        _table_arrays.cache_clear()
-        for m in (np.arange(-31, 32), np.arange(5)):
-            kernel_fourier(kernel, np.array(u), m)
-        kernel_fourier(make_kernel("table", u, 64, seed=2), np.array(u), np.arange(3))
-        assert _table_arrays.cache_info().misses == 1
-
     def test_cached_arrays_are_read_only(self):
         design = make_design([0.2, 0.4, 0.7], [0.0, 0.1, 0.3], 128)
         kernel = make_kernel("table", design.u, 128, seed=3)
         cached = [a for a in _deconvolution_weights(design, kernel, 1e-12, 10)
                   if isinstance(a, np.ndarray)]
-        cached += list(_table_arrays(kernel))
         cached += list(_level_cache("poly7", 4, "wavelet"))
         cached += list(_level_cache("poly7", 3, "scaling"))
-        cached.append(_member_cache("poly7", 5, "wavelet"))
-        assert len(cached) == 17
+        assert len(cached) == 12
         for a in cached:
             with pytest.raises(ValueError):
                 a[...] = 0

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 from lrdeconv.errors import ConfigError, MissingFrequencyError
-from lrdeconv.fourier import FourierSeries, coeffs_to_grid, grid_to_coeffs
+from lrdeconv.fourier import FourierSeries, coeffs_to_grid
 from lrdeconv.meyer import (
     SUPPORT_TOL,
     MeyerSpec,
     WaveletCoefficients,
+    _level_cache,
+    _level_window,
     analyze,
     frequency_set,
     meyer_aux,
     needed_band,
     periodized_coeff,
     scaling_ft,
-    synthesize,
     synthesize_series,
     wavelet_ft,
 )
@@ -146,6 +147,26 @@ class TestFrequencySets:
         assert sets[3] & sets[4]
 
 
+class TestLevelCache:
+    """One window evaluation per level gives the same bits as scanning the
+    window for its support and evaluating it again on the members."""
+
+    @pytest.mark.parametrize("aux_poly", ["poly7", "poly3"])
+    @pytest.mark.parametrize("kind", ["scaling", "wavelet"])
+    @pytest.mark.parametrize("j", range(0, 21))
+    def test_matches_scan_then_evaluate(self, j, kind, aux_poly):
+        spec = MeyerSpec(0, 0, aux_poly)
+        scan = np.arange(-2 ** (j + 1), 2 ** (j + 1) + 1)  # wider than 2^(j+2)/3
+        members = scan[np.abs(_level_window(spec, j, scan, kind)) > SUPPORT_TOL]
+        window = _level_window(spec, j, members, kind)
+        got = _level_cache(aux_poly, j, kind)
+        want = (members, np.mod(members, 2 ** j), np.conj(window),
+                2.0 ** (-j / 2.0) * window)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 class TestPeriodizedCoefficients:
     def test_outside_support_zero(self):
         members = set(frequency_set(SPEC, 3).members.tolist())
@@ -191,7 +212,7 @@ class TestAnalysisSynthesis:
         f = FourierSeries.zeros(90)
         coeffs = analyze(f, SPEC)
         assert coeffs.energy() == 0.0
-        assert np.all(synthesize(coeffs, 256) == 0.0)
+        assert np.all(coeffs_to_grid(synthesize_series(coeffs, SPEC), 256) == 0.0)
 
     def test_orthonormality_small_gram(self):
         spec = MeyerSpec(2, 5)
@@ -226,10 +247,10 @@ class TestAnalysisSynthesis:
         # covered band of (j0, J) = (3, 7) is |m| <= 2^7 / 3 = 42
         f = hermitian_series(90, rng, top=42)
         coeffs = analyze(f, SPEC)
-        back = synthesize_series(coeffs)
+        back = synthesize_series(coeffs, SPEC)
         m = np.arange(-42, 43)
         assert back.get(m) == pytest.approx(f.get(m), abs=1e-8)
-        grid = synthesize(coeffs, 512)
+        grid = coeffs_to_grid(back, 512).real
         assert grid == pytest.approx(coeffs_to_grid(f, 512).real, abs=1e-8)
 
     def test_coefficient_space_round_trip(self, rng):
@@ -237,7 +258,7 @@ class TestAnalysisSynthesis:
         coeffs.scaling[:] = rng.normal(size=8)
         for j in range(3, 7):
             coeffs.detail[j][:] = rng.normal(size=2 ** j)
-        again = analyze(synthesize_series(coeffs), SPEC)
+        again = analyze(synthesize_series(coeffs, SPEC), SPEC)
         assert again.scaling == pytest.approx(coeffs.scaling, abs=1e-9)
         for j in range(3, 7):
             assert again.detail[j] == pytest.approx(coeffs.detail[j], abs=1e-9)
@@ -245,7 +266,7 @@ class TestAnalysisSynthesis:
     def test_parseval(self, rng):
         f = hermitian_series(90, rng, top=42)
         coeffs = analyze(f, SPEC)
-        grid = synthesize(coeffs, 1024)
+        grid = coeffs_to_grid(synthesize_series(coeffs, SPEC), 1024).real
         assert np.sum(grid ** 2) / 1024 == pytest.approx(coeffs.energy(), abs=1e-8)
 
     def test_missing_frequency_error(self, rng):
@@ -253,21 +274,14 @@ class TestAnalysisSynthesis:
         with pytest.raises(MissingFrequencyError):
             analyze(f, SPEC)
 
-    def test_grid_too_small(self):
-        coeffs = WaveletCoefficients.zeros(3, 7)
-        with pytest.raises(ConfigError):
-            synthesize(coeffs, 64)
-        with pytest.raises(ConfigError):
-            synthesize(coeffs, 192)
-
 
 class TestFourierHelpers:
     def test_grid_round_trip(self, rng):
         f = hermitian_series(31, rng)
         grid = coeffs_to_grid(f, 128)
         assert np.abs(grid.imag).max() < 1e-12
-        back = grid_to_coeffs(grid.real, band=31)
-        assert back.values == pytest.approx(f.values, abs=1e-12)
+        back = np.fft.fft(grid.real) / 128
+        assert back[np.mod(f.m, 128)] == pytest.approx(f.values, abs=1e-12)
 
     def test_hermitian_defect(self, rng):
         f = hermitian_series(8, rng)

@@ -265,7 +265,7 @@ class TestMcRisk:
         for j in range(3, 6):
             diff += float(np.sum(np.abs(result.coeffs.detail[j]
                                         - truth_coeffs.detail[j]) ** 2))
-        span_energy = synthesize_series(truth_coeffs).energy()
+        span_energy = synthesize_series(truth_coeffs, spec).energy()
         tail = f.energy() - span_energy
         assert grid_risk == pytest.approx(diff + tail, abs=1e-8)
 
