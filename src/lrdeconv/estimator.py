@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import BlurKernel, ChannelDesign, epsilon_n, kernel_fourier
-from .errors import ConfigError, MissingFrequencyError
+from .errors import ConfigError, MissingFrequencyError, NumericError
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, WaveletCoefficients, analyze, needed_band, synthesize_series
 
@@ -129,23 +129,29 @@ def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol:
                            band: int) -> tuple:
     """The kernel-dependent part of ``fourier_deconvolve`` at |m| <= band.
 
-    Returns the DFT columns m mod N, the weights w_l conj(g_m(u_l)) with
-    w_l = N^(-2 d_l), the denominators, the mask of well-posed m (all
-    read-only and C-contiguous) and the ill-posed frequencies.  The cutoff
-    and the ill-posed list are taken over the full alias-free band whatever
-    ``band`` is, so a narrower band returns a slice of the full one.
+    Returns the weights w_l conj(g_m(u_l)) with w_l = N^(-2 d_l), the
+    denominators, the mask of well-posed m (all read-only and C-contiguous)
+    and the ill-posed frequencies.  The cutoff and the ill-posed list are
+    taken over the full alias-free band whatever ``band`` is, so a narrower
+    band returns a slice of the full one.  Raises NumericError when a
+    denominator is not finite (|g|^2 overflows).
     """
     N = design.N
     full = N // 2 - 1
     g = np.ascontiguousarray(kernel_fourier(kernel, design.u_array(), np.arange(-full, full + 1)))
     w = (float(N) ** (-2.0 * design.d_array()))[:, None]
-    denom = np.sum(w * np.abs(g) ** 2, axis=0)
+    with np.errstate(over="ignore"):
+        denom = np.sum(w * np.abs(g) ** 2, axis=0)
+    if not np.isfinite(denom).all():
+        m = int(np.flatnonzero(~np.isfinite(denom))[0]) - full
+        raise NumericError(
+            f"deconvolution weights: the denominator sum_l N^(-2 d_l) |g_m(u_l)|^2 is not "
+            f"finite at m = {m} (N = {N}); the kernel values are too large"
+        )
     ok = (denom >= denom_tol * denom.max()) & (denom > 0)  # an all-zero kernel is blind
     ill_posed = tuple(int(m) - full for m in np.flatnonzero(~ok))
     keep = slice(full - band, full + band + 1)
-    arrays = (np.mod(np.arange(-band, band + 1), N),
-              np.ascontiguousarray(w * np.conj(g[:, keep])),
-              denom[keep].copy(), ok[keep].copy())
+    arrays = (np.ascontiguousarray(w * np.conj(g[:, keep])), denom[keep].copy(), ok[keep].copy())
     for a in arrays:
         a.flags.writeable = False
     return arrays + (ill_posed,)
@@ -161,7 +167,8 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     denominator of the full band are zero-filled and reported (ill-posed
     policy; the list always covers the full band).  The kernel weights are
     computed once per (design, kernel, denom_tol, band) and cached; the
-    values at |m| <= K are the same bits for every band >= K.
+    values at |m| <= K are the same bits for every band >= K.  The channel
+    DFTs come from a real FFT, with y_(-m) = conj(y_m).
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (design.M, design.N):
@@ -174,9 +181,9 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     # np.sum adds the channels of a C-ordered block row by row, but those of a
     # single column pairwise; so band 0 is computed as |m| <= 1 and cut
     width = min(max(band, 1), full)
-    cols, weights, denom, ok, ill_posed = _deconvolution_weights(design, kernel, denom_tol,
-                                                                 width)
-    Ym = np.fft.fft(y, axis=1)[:, cols] / design.N
+    weights, denom, ok, ill_posed = _deconvolution_weights(design, kernel, denom_tol, width)
+    half = np.fft.rfft(y, axis=1)[:, : width + 1] / design.N
+    Ym = np.concatenate([np.conj(half[:, width:0:-1]), half], axis=1)
     numer = np.sum(weights * Ym, axis=0)
     values = np.zeros_like(numer)
     values[ok] = numer[ok] / denom[ok]

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
 
 from .errors import ConfigError, NumericError, SizeLimitError
 
@@ -121,6 +120,8 @@ def spectral_density(model: NoiseModel, lam) -> np.ndarray:
         out = sigma2 / (2 * np.pi) * np.abs(2.0 * (1.0 - np.cos(lam_arr))) ** (-model.d)
         return out if out.shape else float(out)
 
+    from scipy import special  # imported here so that ``estimate`` never loads scipy
+
     # fGn: sum_{k in Z} |k + x|^(-s) = zeta(s, x) + zeta(s, 1 - x), x in (0, 1)
     H = model.hurst
     s = 2 * H + 1
@@ -156,6 +157,8 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
         out = np.where(k == 0, sigma2, 0.0)
         return out if out.shape else float(out)
 
+    from scipy import special
+
     d = model.d
     kf = k.astype(float)
     with np.errstate(invalid="ignore"):
@@ -174,28 +177,41 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _embedding_spectra(models: tuple, n_points: int) -> np.ndarray:
-    """sqrt(spectrum / m) of each model's circulant embedding, one row per model.
+    """sqrt(spectrum / m) of each model's circulant embedding at frequencies
+    0..m/2, one row per model.
 
-    The embedding has size m = 2(N-1) (1 for N = 1).  Rows are read-only;
-    raises NumericError when an entry of a spectrum lies below
-    -NEG_TOL * gamma(0).
+    The embedding row c = [gamma(0..N-1), gamma(N-2..1)] has size m = 2(N-1)
+    (1 for N = 1).  It is real and even, so its spectrum is real and
+    symmetric and the half 0..m/2 holds every value; rows are transformed a
+    block at a time with a real FFT.  Rows are read-only; raises NumericError
+    when an entry of a spectrum lies below -NEG_TOL * gamma(0).
     """
-    eigs = []
-    for model in models:
-        gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
-        c = np.concatenate([gamma, gamma[-2:0:-1]])  # [gamma(0)] alone for N = 1
-        eig = np.fft.fft(c).real
-        if not eig.min() >= -NEG_TOL * gamma[0]:  # NaN fails too
-            raise NumericError(
-                f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
-                f"N = {n_points} has spectrum {eig.min():.3g} < -{NEG_TOL:g} gamma(0); "
-                "the covariance cannot be sampled exactly"
-            )
-        eigs.append(eig)
-    eigs = np.array(eigs)
-    sqrt_spec = np.sqrt(np.clip(eigs, 0.0, None) / eigs.shape[1])
-    sqrt_spec.flags.writeable = False
-    return sqrt_spec
+    m = max(2 * (n_points - 1), 1)
+    block = max(1, _BLOCK_POINTS // m)
+    c = np.empty((min(block, len(models)), m))
+    spectra = np.empty((len(models), m // 2 + 1))
+    for start in range(0, len(models), block):
+        stop = min(start + block, len(models))
+        cb = c[: stop - start]
+        for row, model in zip(cb, models[start:stop]):
+            gamma = autocovariance(model, np.arange(n_points))
+            row[:n_points] = gamma
+            row[n_points:] = gamma[-2:0:-1]
+        eig = np.fft.rfft(cb, axis=1).real
+        lowest = eig.min(axis=1)
+        for model, low, gamma0 in zip(models[start:stop], lowest, cb[:, 0]):
+            if not low >= -NEG_TOL * gamma0:  # NaN fails too
+                raise NumericError(
+                    f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
+                    f"N = {n_points} has spectrum {low:.3g} < -{NEG_TOL:g} gamma(0); "
+                    "the covariance cannot be sampled exactly"
+                )
+        spectra[start:stop] = eig
+    np.clip(spectra, 0.0, None, out=spectra)
+    spectra /= m
+    np.sqrt(spectra, out=spectra)
+    spectra.flags.writeable = False
+    return spectra
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -205,40 +221,43 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _sample_rows(seeds, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
-    """Row i: the first n_points of fft(sqrt_spec[i] * xi_i), xi_i drawn from seeds[i].
+    """Row i: the first n_points of fft(s_i * xi_i), s_i the symmetric
+    extension of sqrt_spec[i] to the m = 2(N-1) embedding frequencies (m = 1
+    at N = 1) and xi_i drawn from seeds[i].
 
     xi_i holds conjugate-symmetric complex Gaussian weights built from one
     standard_normal(m) draw z: xi[0] = z[0], xi[m/2] = z[1] for even m, then
     xi[k] = (a_k + i b_k) / sqrt(2) for 1 <= k <= p and xi[m-k] = conj(xi[k]),
-    with a and b the next two runs of p draws.  Rows are assembled a block at
-    a time, in place in the real and imaginary views, with the roundings of
-    the complex arithmetic this spells out; the block's buffers stay small
-    enough to remain in cache between the draws, the assembly and the FFT.
+    with a and b the next two runs of p draws.  For such weights fft(s xi) is
+    real and equals the unnormalised inverse real FFT of the half
+    conj(s xi)[0..m/2], so only that half is assembled, with the conjugate
+    folded into the sign of the imaginary run.  Rows are assembled and
+    transformed a block at a time, in buffers small enough to stay in cache
+    between the draws, the assembly and the FFT.
     """
-    rows, m = sqrt_spec.shape
+    rows, half = sqrt_spec.shape
+    m = max(2 * (n_points - 1), 1)
     p = (m - 1) // 2  # conjugate pairs; m is even except m = 1 at N = 1
     o = m - 2 * p  # draws before the pairs: z[0] and, for even m, the Nyquist z[1]
     block = min(rows, max(1, _BLOCK_POINTS // m))
     z = np.empty((block, m))
-    xi = np.empty((block, m), dtype=complex)
+    h = np.empty((block, half), dtype=complex)
+    x = np.empty((block, m))
     out = np.empty((rows, n_points))
     for start in range(0, rows, block):
         stop = min(start + block, rows)
-        zb, xb = z[: stop - start], xi[: stop - start]
+        zb, hb, xb = z[: stop - start], h[: stop - start], x[: stop - start]
         for z_row, seed in zip(zb, seeds[start:stop]):
             np.random.default_rng(seed).standard_normal(out=z_row)
-        re, im = xb.real, xb.imag
+        re, im = hb.real, hb.imag
         re[:, 0], im[:, 0] = zb[:, 0], 0.0
-        re[:, p + 1 : m - p], im[:, p + 1 : m - p] = zb[:, 1:o], 0.0
-        # numpy divides complex by a real r as a multiply by 1 / r
+        re[:, p + 1 :], im[:, p + 1 :] = zb[:, 1:o], 0.0
         np.multiply(zb[:, o : o + p], 1 / math.sqrt(2.0), out=re[:, 1 : p + 1])
-        np.multiply(zb[:, o + p :], 1 / math.sqrt(2.0), out=im[:, 1 : p + 1])
-        re[:, m - p :] = re[:, p:0:-1]
-        np.negative(im[:, p:0:-1], out=im[:, m - p :])
+        np.multiply(zb[:, o + p :], -1 / math.sqrt(2.0), out=im[:, 1 : p + 1])
         re *= sqrt_spec[start:stop]
         im *= sqrt_spec[start:stop]
-        np.fft.fft(xb, axis=1, out=xb)
-        out[start:stop] = re[:, :n_points]
+        np.fft.irfft(hb, n=m, axis=1, norm="forward", out=xb)
+        out[start:stop] = xb[:, :n_points]
     return out
 
 
@@ -276,6 +295,8 @@ def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary
         raise SizeLimitError(
             f"dense eigensolve limited to N <= {DENSE_EIGEN_LIMIT}, got {n_points}"
         )
+    from scipy import linalg
+
     gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
     eigs = linalg.eigvalsh(linalg.toeplitz(gamma))
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])

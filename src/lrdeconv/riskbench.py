@@ -230,7 +230,10 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
             seed = np.random.SeedSequence(master_seed, spawn_key=(int(n), rep))
             y = simulate_observations(f, design, kernel, seed)
             result = estimate(y, design, kernel, config)
-            return float(np.mean((result.grid - truth_grid) ** 2))
+            risk = float(np.mean((result.grid - truth_grid) ** 2))
+            if not math.isfinite(risk):
+                raise NumericError(f"replicate {rep} at n = {n} has a non-finite risk {risk}")
+            return risk
 
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor

@@ -179,11 +179,15 @@ def write_config(tmp_path, text, name="cfg.yaml", out=None):
     return path, Path(out_dir)
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "lrdeconv.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd)
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "lrdeconv.cli", *args], cwd)
 
 
 class TestConfigRoundTrip:
@@ -393,6 +397,21 @@ class TestKernelInputs:
             assert err.startswith("config error:") and message in err
         assert not (tmp_path / "bad").exists()
 
+    def test_overflowing_kernel_exits_2_without_an_estimate(self, tmp_path, capsys):
+        # finite entries, so the table loads, but |g|^2 overflows in the weights
+        table = tmp_path / "kernel.txt"
+        m = np.arange(-127, 128)
+        save_kernel_table(table, m, [0.25, 0.5, 0.75, 1.0], np.full((m.size, 4), 1e200 + 0j))
+        text = FINE_CONFIG.replace("{table}", str(table)).replace("n: 16384", "n: 1024")
+        path, out = write_config(tmp_path, text.replace("[3, 11]", "[3, 5]"))  # M = 4, N = 256
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: deconvolution weights")
+        assert not (out / "fhat_grid.csv").exists()
+
     def test_subnormal_memory_exponent_gives_finite_data(self, tmp_path):
         text = BASE_CONFIG.replace("{{kind: linear, a1: 0.2, a2: 0.1}}",
                                    "{{kind: constant, value: 1.0e-310}}")
@@ -416,6 +435,19 @@ def test_shipped_config_dry_runs(path, tmp_path, capsys):
             assert code == 1 and out == "" and err.startswith("config error:")
             assert "section" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_estimate_and_dry_runs_do_not_import_scipy(tmp_path):
+    path, out = write_config(tmp_path, BASE_CONFIG)
+    assert main(["simulate", "--config", str(path)]) == 0
+    probe = ("import sys\n"
+             "from lrdeconv.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    for args in (["estimate"], ["estimate", "--dry-run"], ["bench", "--dry-run"]):
+        proc = run_python(["-c", probe, *args, "--config", str(path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", args
 
 
 class TestSimulateEstimate:

@@ -235,8 +235,8 @@ class TestEmbeddingGuard:
         for d in np.linspace(0.0, 0.499, 60):
             model = NoiseModel(kind, float(d)) if d > 0 else NoiseModel.white()
             for n in (2, 3, 16, 127, 1024, 4096, 65536):
-                sqrt_spec = spectra((model,), n)
-                m = sqrt_spec.shape[1]
+                sqrt_spec = spectra((model,), n)  # frequencies 0..m/2 of the embedding
+                m = 2 * (n - 1)
                 gamma0 = float(autocovariance(model, 0))
                 worst = min(worst, float(np.min(sqrt_spec ** 2 * m)) / gamma0)
         assert worst >= 1e-3

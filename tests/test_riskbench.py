@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import boxcar_linear_design
+from lrdeconv import riskbench
 from lrdeconv.channels import BlurKernel, ChannelDesign, simulate_observations
 from lrdeconv.errors import ConfigError, DegenerateFitError, NumericError
 from lrdeconv.estimator import EstimatorConfig, estimate
@@ -247,6 +248,22 @@ class TestMcRisk:
         threaded = mc_risk(f, family, BlurKernel("boxcar"), cfg, [2 ** 12], reps=40,
                            master_seed=7, threads=4)
         assert serial.rows == threaded.rows
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_risk_raises_naming_the_replicate(self, monkeypatch, threads):
+        def nan_at_rep_3(y, design, kernel, config):
+            result = estimate(y, design, kernel, config)
+            if np.array_equal(y, simulate_observations(f, design, kernel, bad_seed)):
+                result.grid[0] = np.nan
+            return result
+
+        f = make_test_function("smooth_sine", 3, {"freq": 3})
+        bad_seed = np.random.SeedSequence(7, spawn_key=(2 ** 12, 3))
+        monkeypatch.setattr(riskbench, "estimate", nan_at_rep_3)
+        with pytest.raises(NumericError, match=r"replicate 3 at n = 4096 has a non-finite"):
+            mc_risk(f, boxcar_linear_design, BlurKernel("boxcar"),
+                    EstimatorConfig(mu=1.0, nu=2.0), [2 ** 12], reps=30, master_seed=7,
+                    threads=threads)
 
     def test_parseval_risk_identity(self):
         # grid risk = coefficient-space error + out-of-span truth energy
