@@ -168,7 +168,8 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     policy; the list always covers the full band).  The kernel weights are
     computed once per (design, kernel, denom_tol, band) and cached; the
     values at |m| <= K are the same bits for every band >= K.  The channel
-    DFTs come from a real FFT, with y_(-m) = conj(y_m).
+    DFTs come from a real FFT, with y_(-m) = conj(y_m); raises NumericError
+    when one of them overflows at a frequency the band reads.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (design.M, design.N):
@@ -182,7 +183,15 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     # single column pairwise; so band 0 is computed as |m| <= 1 and cut
     width = min(max(band, 1), full)
     weights, denom, ok, ill_posed = _deconvolution_weights(design, kernel, denom_tol, width)
-    half = np.fft.rfft(y, axis=1)[:, : width + 1] / design.N
+    with np.errstate(over="ignore"):
+        half = np.fft.rfft(y, axis=1)[:, : width + 1]
+    if not np.isfinite(half).all():
+        row, m = (int(i) for i in np.argwhere(~np.isfinite(half))[0])
+        raise NumericError(
+            f"channel DFT: the DFT of row {row} of y is not finite at m = {m} "
+            f"(N = {design.N}); the observations are too large"
+        )
+    half /= design.N
     Ym = np.concatenate([np.conj(half[:, width:0:-1]), half], axis=1)
     numer = np.sum(weights * Ym, axis=0)
     values = np.zeros_like(numer)

@@ -9,9 +9,11 @@ Three families are supported, all with spectral density behaving like
 * ``fgn``    -- fractional Gaussian noise with Hurst index H = d + 1/2.
 
 Exact sampling uses circulant embedding of the Toeplitz covariance
-(Davies-Harte).  The embedding is nonnegative for FARIMA(0, d, 0) and fGn
-with 0 <= d < 1/2 (Craigmile, 2003); a covariance whose embedding spectrum
-falls below -NEG_TOL * gamma(0) raises NumericError instead of being sampled.
+(Davies-Harte): an N-point path is the first N points of an exact
+(N + 1)-point draw, whose N + 1 lags embed in a circle of m = 2N points.
+The embedding is nonnegative for FARIMA(0, d, 0) and fGn with 0 <= d < 1/2
+(Craigmile, 2003); a covariance whose embedding spectrum falls below
+-NEG_TOL * gamma(0) raises NumericError instead of being sampled.
 """
 
 from __future__ import annotations
@@ -178,25 +180,28 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _embedding_spectra(models: tuple, n_points: int) -> np.ndarray:
     """sqrt(spectrum / m) of each model's circulant embedding at frequencies
-    0..m/2, one row per model.
+    0..N, one row per model.
 
-    The embedding row c = [gamma(0..N-1), gamma(N-2..1)] has size m = 2(N-1)
-    (1 for N = 1).  It is real and even, so its spectrum is real and
-    symmetric and the half 0..m/2 holds every value; rows are transformed a
+    The embedding row c = [gamma(0..N), gamma(N-1..1)] covers N + 1 lags and
+    has size m = 2N, a power of two for every ``ChannelDesign``.  It is the
+    minimal embedding of N + 1 points, and the first N of those points have
+    the law N(0, toeplitz(gamma(0..N-1))), so the sampler draws N + 1 and
+    keeps N.  The row is real and even, so its spectrum is real and
+    symmetric and the half 0..N holds every value; rows are transformed a
     block at a time with a real FFT.  Rows are read-only; raises NumericError
     when an entry of a spectrum lies below -NEG_TOL * gamma(0).
     """
-    m = max(2 * (n_points - 1), 1)
+    m = 2 * n_points
     block = max(1, _BLOCK_POINTS // m)
     c = np.empty((min(block, len(models)), m))
-    spectra = np.empty((len(models), m // 2 + 1))
+    spectra = np.empty((len(models), n_points + 1))
     for start in range(0, len(models), block):
         stop = min(start + block, len(models))
         cb = c[: stop - start]
         for row, model in zip(cb, models[start:stop]):
-            gamma = autocovariance(model, np.arange(n_points))
-            row[:n_points] = gamma
-            row[n_points:] = gamma[-2:0:-1]
+            gamma = autocovariance(model, np.arange(n_points + 1))
+            row[: n_points + 1] = gamma
+            row[n_points + 1 :] = gamma[-2:0:-1]
         eig = np.fft.rfft(cb, axis=1).real
         lowest = eig.min(axis=1)
         for model, low, gamma0 in zip(models[start:stop], lowest, cb[:, 0]):
@@ -220,25 +225,42 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _sample_rows(seeds, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
-    """Row i: the first n_points of fft(s_i * xi_i), s_i the symmetric
-    extension of sqrt_spec[i] to the m = 2(N-1) embedding frequencies (m = 1
-    at N = 1) and xi_i drawn from seeds[i].
+def _paths_from_normals(z: np.ndarray, sqrt_spec: np.ndarray, h: np.ndarray,
+                        x: np.ndarray) -> np.ndarray:
+    """Row i of x: fft(s_i * xi_i), s_i the symmetric extension of sqrt_spec[i]
+    (or of its single row) to the m = 2N embedding frequencies and xi_i built
+    from the standard normals z[i] of length m; h is the (rows, N + 1)
+    complex work buffer.  Returns x, whose first N columns are the paths.
 
-    xi_i holds conjugate-symmetric complex Gaussian weights built from one
-    standard_normal(m) draw z: xi[0] = z[0], xi[m/2] = z[1] for even m, then
-    xi[k] = (a_k + i b_k) / sqrt(2) for 1 <= k <= p and xi[m-k] = conj(xi[k]),
-    with a and b the next two runs of p draws.  For such weights fft(s xi) is
-    real and equals the unnormalised inverse real FFT of the half
-    conj(s xi)[0..m/2], so only that half is assembled, with the conjugate
-    folded into the sign of the imaginary run.  Rows are assembled and
-    transformed a block at a time, in buffers small enough to stay in cache
-    between the draws, the assembly and the FFT.
+    xi_i holds conjugate-symmetric complex Gaussian weights:
+    xi[0] = z[0], xi[N] = z[1], then xi[k] = (a_k + i b_k) / sqrt(2) for
+    1 <= k <= N - 1 and xi[m-k] = conj(xi[k]), with a and b the next two runs
+    of N - 1 draws.  For such weights fft(s xi) is real and equals the
+    unnormalised inverse real FFT of the half conj(s xi)[0..N], so only that
+    half is assembled, with the conjugate folded into the sign of the
+    imaginary run.  The map is linear in z, so the covariance of a path is
+    A^T A with A the paths of the m unit vectors.
+    """
+    n = z.shape[1] // 2  # frequency n is the Nyquist frequency of the m = 2n points
+    re, im = h.real, h.imag
+    re[:, 0], re[:, n] = z[:, 0], z[:, 1]
+    im[:, 0], im[:, n] = 0.0, 0.0
+    np.multiply(z[:, 2 : n + 1], 1 / math.sqrt(2.0), out=re[:, 1:n])
+    np.multiply(z[:, n + 1 :], -1 / math.sqrt(2.0), out=im[:, 1:n])
+    re *= sqrt_spec
+    im *= sqrt_spec
+    return np.fft.irfft(h, n=2 * n, axis=1, norm="forward", out=x)
+
+
+def _sample_rows(seeds, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
+    """Row i: the first n_points of the (N + 1)-point circulant-embedding draw
+    with spectrum sqrt_spec[i] and weights from one standard_normal(2N) draw
+    of seeds[i] (``_paths_from_normals``).  Rows are drawn and transformed a
+    block at a time, in buffers small enough to stay in cache between the
+    draws, the assembly and the FFT.
     """
     rows, half = sqrt_spec.shape
-    m = max(2 * (n_points - 1), 1)
-    p = (m - 1) // 2  # conjugate pairs; m is even except m = 1 at N = 1
-    o = m - 2 * p  # draws before the pairs: z[0] and, for even m, the Nyquist z[1]
+    m = 2 * n_points
     block = min(rows, max(1, _BLOCK_POINTS // m))
     z = np.empty((block, m))
     h = np.empty((block, half), dtype=complex)
@@ -249,14 +271,7 @@ def _sample_rows(seeds, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
         zb, hb, xb = z[: stop - start], h[: stop - start], x[: stop - start]
         for z_row, seed in zip(zb, seeds[start:stop]):
             np.random.default_rng(seed).standard_normal(out=z_row)
-        re, im = hb.real, hb.imag
-        re[:, 0], im[:, 0] = zb[:, 0], 0.0
-        re[:, p + 1 :], im[:, p + 1 :] = zb[:, 1:o], 0.0
-        np.multiply(zb[:, o : o + p], 1 / math.sqrt(2.0), out=re[:, 1 : p + 1])
-        np.multiply(zb[:, o + p :], -1 / math.sqrt(2.0), out=im[:, 1 : p + 1])
-        re *= sqrt_spec[start:stop]
-        im *= sqrt_spec[start:stop]
-        np.fft.irfft(hb, n=m, axis=1, norm="forward", out=xb)
+        _paths_from_normals(zb, sqrt_spec[start:stop], hb, xb)
         out[start:stop] = xb[:, :n_points]
     return out
 

@@ -412,6 +412,21 @@ class TestKernelInputs:
         assert captured.err.startswith("numeric error: deconvolution weights")
         assert not (out / "fhat_grid.csv").exists()
 
+    def test_overflowing_channel_dft_exits_2_without_an_estimate(self, tmp_path, capsys):
+        # finite observations whose row sums overflow in the real FFT
+        path, out = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "--config", str(path)]) == 0
+        lines = (out / "y.csv").read_text().splitlines(keepends=True)
+        header = [line for line in lines if line.startswith("#")]
+        assert len(lines) - len(header) == 32
+        (out / "y.csv").write_text("".join(header) + (",".join(["1e307"] * 32) + "\n") * 32)
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: channel DFT")
+        assert not (out / "fhat_grid.csv").exists()
+
     def test_subnormal_memory_exponent_gives_finite_data(self, tmp_path):
         text = BASE_CONFIG.replace("{{kind: linear, a1: 0.2, a2: 0.1}}",
                                    "{{kind: constant, value: 1.0e-310}}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 from scipy.integrate import quad
 
 from lrdeconv import noise
@@ -164,20 +165,17 @@ class TestSamplePath:
         se = acc.std(ddof=1) / math.sqrt(reps)
         assert abs(acc.mean() - target) < 3 * se
 
-    def test_empirical_covariance_matrix(self):
-        # 2000 replicates of length 128: entrywise within 4 SE of gamma(j-k)
-        for model in (NoiseModel.farima(0.25), NoiseModel.fgn(hurst=0.75)):
-            n, reps = 128, 2000
-            rows = np.empty((reps, n))
-            for rep in range(reps):
-                rows[rep] = sample_path(model, n,
-                                        seed=np.random.SeedSequence(7, spawn_key=(rep,)))
-            prods = rows[:, :, None] * rows[:, None, :]
-            mean = prods.mean(axis=0)
-            se = prods.std(axis=0, ddof=1) / math.sqrt(reps)
-            gamma = autocovariance(model, np.abs(np.subtract.outer(np.arange(n),
-                                                                   np.arange(n))))
-            assert np.all(np.abs(mean - gamma) < 4 * se + 1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 128, 1024])
+    @pytest.mark.parametrize("model", [NoiseModel.white(1.5), NoiseModel.farima(0.45, 0.7),
+                                       NoiseModel.fgn(hurst=0.95)], ids=lambda m: m.kind)
+    def test_covariance_is_exact(self, n, model):
+        # a path is linear in its 2n normals: x = z A, so Cov(x) = A^T A exactly
+        sqrt_spec = noise._embedding_spectra.__wrapped__((model,), n)
+        m = 2 * n
+        h, x = np.empty((m, n + 1), dtype=complex), np.empty((m, m))
+        A = noise._paths_from_normals(np.eye(m), sqrt_spec, h, x)[:, :n]
+        gamma = autocovariance(model, np.arange(n))
+        assert np.abs(A.T @ A - linalg.toeplitz(gamma)).max() <= 1e-12 * gamma[0]
 
     def test_batch_rows_match_serial(self):
         models = [NoiseModel.farima(0.1), NoiseModel.farima(0.3), NoiseModel.white()]
@@ -234,16 +232,16 @@ class TestEmbeddingGuard:
         worst = math.inf
         for d in np.linspace(0.0, 0.499, 60):
             model = NoiseModel(kind, float(d)) if d > 0 else NoiseModel.white()
-            for n in (2, 3, 16, 127, 1024, 4096, 65536):
-                sqrt_spec = spectra((model,), n)  # frequencies 0..m/2 of the embedding
-                m = 2 * (n - 1)
+            for n in (1, 2, 16, 1024, 2048, 4096, 65536):
+                sqrt_spec = spectra((model,), n)  # frequencies 0..n of the n + 1 lags' embedding
+                m = 2 * n
                 gamma0 = float(autocovariance(model, 0))
                 worst = min(worst, float(np.min(sqrt_spec ** 2 * m)) / gamma0)
         assert worst >= 1e-3
 
     def test_rejected_embedding_raises(self, monkeypatch):
         def not_positive_definite(model, lag):
-            # gamma = (1, 0.9, 0, 0): the 6-point embedding has spectrum 1 - 1.8 < 0
+            # gamma = (1, 0.9, 0, ...): the 8-point embedding has spectrum 1 - 1.8 < 0
             k = np.abs(np.asarray(lag))
             return np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0))
 
