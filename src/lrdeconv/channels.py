@@ -244,9 +244,10 @@ def simulate_observations(f: FourierSeries, design: ChannelDesign,
                           kernel: BlurKernel, seed) -> np.ndarray:
     """M x N observation matrix: blurred truth plus per-channel noise rows.
 
-    Channel l's noise stream is seeded by spawn key (l,) off the master
-    seed, so rows are reproducible independently of generation order.  The
-    blurred truth is computed once per (truth, design, kernel).
+    The noise rows come from one generator seeded by ``seed``
+    (``noise.sample_paths``), so the matrix is deterministic in (truth,
+    design, kernel, seed).  The blurred truth is computed once per (truth,
+    design, kernel).
     """
     require_alias_free(f, design)
     noise = sample_paths(design.noise, design.N, seed)

@@ -180,23 +180,17 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     return 0
 
 
-def _bench_plan(cfg: RunConfig, est_cfg) -> list[str]:
-    lines = []
+def _bench_plan(cfg: RunConfig, est_cfg) -> list[dict]:
+    """The resolved plan of each grid point: n, M, N, n*, j0, J and the level
+    warnings of ``choose_levels``."""
+    plan = []
     for n in cfg.bench["n_grid"]:
         design = design_for_n(cfg, int(n))
         _, n_star = epsilon_n(design)
-        j0, J, _ = choose_levels(n_star, est_cfg, N=design.N)
-        if est_cfg.supersmooth or j0 == J:
-            lams = "(linear estimator, no detail levels)"
-        else:
-            lams = " ".join(
-                f"lambda_{j}={threshold_value(j, n_star, est_cfg):.3e}"
-                for j in range(j0, J)
-            )
-        lines.append(
-            f"n={design.n} M={design.M} N={design.N} n*={n_star:.6g} j0={j0} J={J} {lams}"
-        )
-    return lines
+        j0, J, warnings = choose_levels(n_star, est_cfg, N=design.N)
+        plan.append({"n": design.n, "M": design.M, "N": design.N, "n_star": n_star,
+                     "j0": j0, "J": J, "warnings": warnings})
+    return plan
 
 
 def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
@@ -208,9 +202,16 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         for n in cfg.bench["n_grid"]:
             design = design_for_n(cfg, int(n))
             kernel_fourier(kernel, design.u_array(), np.arange(1 - design.N // 2, design.N // 2))
+    plan = _bench_plan(cfg, est_cfg)
     if args.dry_run:
-        for line in _bench_plan(cfg, est_cfg):
-            print(line)
+        for p in plan:
+            if est_cfg.supersmooth or p["j0"] == p["J"]:
+                lams = "(linear estimator, no detail levels)"
+            else:
+                lams = " ".join(f"lambda_{j}={threshold_value(j, p['n_star'], est_cfg):.3e}"
+                                for j in range(p["j0"], p["J"]))
+            print(f"n={p['n']} M={p['M']} N={p['N']} n*={p['n_star']:.6g} "
+                  f"j0={p['j0']} J={p['J']} {lams}")
         return 0
     truth = build_truth(cfg)
     ball = build_ball(cfg) if cfg.bench.get("ball") else None
@@ -245,6 +246,7 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         "experiment": cfg.experiment,
         "fitted_slope": slope,
         "fitted_slope_se": slope_se,
+        "plan": plan,
         "r_squared": r2,
         "regressor": regressor,
         "reps": reps,

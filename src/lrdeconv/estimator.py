@@ -169,7 +169,8 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     computed once per (design, kernel, denom_tol, band) and cached; the
     values at |m| <= K are the same bits for every band >= K.  The channel
     DFTs come from a real FFT, with y_(-m) = conj(y_m); raises NumericError
-    when one of them overflows at a frequency the band reads.
+    when one of them overflows at a frequency the band reads, or when the
+    weighted sum over the channels, or its ratio, is not finite there.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (design.M, design.N):
@@ -193,10 +194,18 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
         )
     half /= design.N
     Ym = np.concatenate([np.conj(half[:, width:0:-1]), half], axis=1)
-    numer = np.sum(weights * Ym, axis=0)
-    values = np.zeros_like(numer)
-    values[ok] = numer[ok] / denom[ok]
-    return FourierSeries(band, values[width - band:width + band + 1]), list(ill_posed)
+    values = np.zeros(2 * width + 1, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        numer = np.sum(weights * Ym, axis=0)
+        values[ok] = numer[ok] / denom[ok]
+    values = values[width - band:width + band + 1]
+    if not np.isfinite(values).all():
+        m = int(np.flatnonzero(~np.isfinite(values))[0]) - band
+        raise NumericError(
+            f"deconvolution: the weighted sum over the {design.M} channels is not finite "
+            f"at m = {m} (N = {design.N}); the observations are too large"
+        )
+    return FourierSeries(band, values), list(ill_posed)
 
 
 def _round_half_up(x: float) -> int:

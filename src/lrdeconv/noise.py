@@ -13,7 +13,9 @@ Exact sampling uses circulant embedding of the Toeplitz covariance
 (N + 1)-point draw, whose N + 1 lags embed in a circle of m = 2N points.
 The embedding is nonnegative for FARIMA(0, d, 0) and fGn with 0 <= d < 1/2
 (Craigmile, 2003); a covariance whose embedding spectrum falls below
--NEG_TOL * gamma(0) raises NumericError instead of being sampled.
+-NEG_TOL * gamma(0) raises NumericError instead of being sampled.  The paths
+of one call share one generator: path l takes the l-th run of 2N standard
+normals of default_rng(seed).
 """
 
 from __future__ import annotations
@@ -252,16 +254,18 @@ def _paths_from_normals(z: np.ndarray, sqrt_spec: np.ndarray, h: np.ndarray,
     return np.fft.irfft(h, n=2 * n, axis=1, norm="forward", out=x)
 
 
-def _sample_rows(seeds, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
+def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
     """Row i: the first n_points of the (N + 1)-point circulant-embedding draw
-    with spectrum sqrt_spec[i] and weights from one standard_normal(2N) draw
-    of seeds[i] (``_paths_from_normals``).  Rows are drawn and transformed a
-    block at a time, in buffers small enough to stay in cache between the
-    draws, the assembly and the FFT.
+    with spectrum sqrt_spec[i] and weights from normals 2N i .. 2N (i + 1) - 1
+    of the one generator default_rng(seed) (``_paths_from_normals``).  Rows
+    are drawn and transformed a block at a time, in buffers small enough to
+    stay in cache between the draws, the assembly and the FFT; the stream
+    fills in order, so the bits do not depend on the block size.
     """
     rows, half = sqrt_spec.shape
     m = 2 * n_points
     block = min(rows, max(1, _BLOCK_POINTS // m))
+    rng = np.random.default_rng(seed)
     z = np.empty((block, m))
     h = np.empty((block, half), dtype=complex)
     x = np.empty((block, m))
@@ -269,32 +273,31 @@ def _sample_rows(seeds, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
     for start in range(0, rows, block):
         stop = min(start + block, rows)
         zb, hb, xb = z[: stop - start], h[: stop - start], x[: stop - start]
-        for z_row, seed in zip(zb, seeds[start:stop]):
-            np.random.default_rng(seed).standard_normal(out=z_row)
+        rng.standard_normal(out=zb)
         _paths_from_normals(zb, sqrt_spec[start:stop], hb, xb)
         out[start:stop] = xb[:, :n_points]
     return out
 
 
 def sample_path(model: NoiseModel, n_points: int, seed) -> np.ndarray:
-    """One exact draw from N(0, [gamma(j-k)]), deterministic in (model, n, seed)."""
+    """One exact draw from N(0, [gamma(j-k)]), deterministic in (model, n, seed):
+    row 0 of ``sample_paths([model], n_points, seed)``."""
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
     sqrt_spec = _embedding_spectra((model,), n_points)
-    return _sample_rows([_as_seed_sequence(seed)], sqrt_spec, n_points)[0]
+    return _sample_rows(_as_seed_sequence(seed), sqrt_spec, n_points)[0]
 
 
 def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
-    """Independent rows, one per model, with per-row derived seeds.
+    """Independent rows, one per model, from one generator stream.
 
-    Row l is drawn from the generator seeded by
-    SeedSequence(master_seed, spawn_key=(l,)), so results are identical
-    whether rows are produced jointly (batched FFT) or one at a time.
+    The rows take consecutive runs of 2N standard normals from
+    default_rng(master_seed): row l takes normals 2N l .. 2N (l + 1) - 1.
+    So the result is deterministic in (models, N, master_seed), whatever the
+    block size, and row 0 is ``sample_path(models[0], N, master_seed)``.
     """
-    root = _as_seed_sequence(master_seed)
-    seeds = [np.random.SeedSequence(root.entropy, spawn_key=tuple(root.spawn_key) + (i,))
-             for i in range(len(models))]
-    return _sample_rows(seeds, _embedding_spectra(tuple(models), n_points), n_points)
+    return _sample_rows(_as_seed_sequence(master_seed),
+                        _embedding_spectra(tuple(models), n_points), n_points)
 
 
 def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary:

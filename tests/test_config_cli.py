@@ -427,6 +427,24 @@ class TestKernelInputs:
         assert captured.err.startswith("numeric error: channel DFT")
         assert not (out / "fhat_grid.csv").exists()
 
+    def test_overflowing_channel_sum_exits_2_without_an_estimate(self, tmp_path, capsys):
+        # finite channel DFTs (9.6e307) whose weighted sum over 512 channels overflows
+        text = BASE_CONFIG.replace("m_rule: power", "m_rule: fixed\n  M: 512").replace(
+            "n: 1024", "n: 16384").replace("[1024, 4096, 16384, 65536]", "[16384]")
+        path, out = write_config(tmp_path, text)  # M = 512, N = 32
+        assert main(["simulate", "--config", str(path)]) == 0
+        lines = (out / "y.csv").read_text().splitlines(keepends=True)
+        header = [line for line in lines if line.startswith("#")]
+        assert len(lines) - len(header) == 512
+        (out / "y.csv").write_text("".join(header) + (",".join(["3e306"] * 32) + "\n") * 512)
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: deconvolution: the weighted sum over "
+                                       "the 512 channels is not finite at m = ")
+        assert not (out / "fhat_grid.csv").exists()
+
     def test_subnormal_memory_exponent_gives_finite_data(self, tmp_path):
         text = BASE_CONFIG.replace("{{kind: linear, a1: 0.2, a2: 0.1}}",
                                    "{{kind: constant, value: 1.0e-310}}")
@@ -632,8 +650,10 @@ class TestBenchCommand:
                 if not l.startswith("#")]
         assert len(rows) == 3
 
-    def test_bench_outputs(self, tmp_path):
+    def test_bench_outputs(self, tmp_path, capsys):
         path, out = write_config(tmp_path, BASE_CONFIG)
+        assert main(["bench", "--config", str(path), "--dry-run"]) == 0
+        dry_lines = capsys.readouterr().out.splitlines()
         assert main(["bench", "--config", str(path)]) == 0
         report = (out / "risk_report.csv").read_text().splitlines()
         header_idx = next(i for i, l in enumerate(report) if not l.startswith("#"))
@@ -648,6 +668,18 @@ class TestBenchCommand:
         xs = np.log([float(r[3]) for r in rows])  # log n*, the log_nstar regressor
         ys = np.log([float(r[4]) for r in rows])  # log risk_mean
         assert curve == ["%.17g %.17g" % (x, y) for x, y in zip(xs, ys)]
+        # the plan per grid point, with the clamp warnings that the dry run does not print
+        plan = meta["plan"]
+        assert [(p["n"], p["M"], p["N"], p["n_star"]) for p in plan] == [
+            (int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in rows]
+        assert [(p["j0"], p["J"]) for p in plan] == [(1, 1), (1, 1), (2, 2), (2, 2)]
+        assert [p["warnings"] for p in plan] == [
+            ["j0 = 2 exceeds J = 1; clamped (estimator is linear)"],
+            ["j0 = 3 exceeds J = 1; clamped (estimator is linear)"],
+            ["j0 = 3 exceeds J = 2; clamped (estimator is linear)"],
+            ["j0 = 3 exceeds J = 2; clamped (estimator is linear)"]]
+        assert [line.split(" j0=")[0] for line in dry_lines] == [
+            f"n={p['n']} M={p['M']} N={p['N']} n*={p['n_star']:.6g}" for p in plan]
 
     def test_threads_reproducibility(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path, BASE_CONFIG)

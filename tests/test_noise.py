@@ -177,12 +177,15 @@ class TestSamplePath:
         gamma = autocovariance(model, np.arange(n))
         assert np.abs(A.T @ A - linalg.toeplitz(gamma)).max() <= 1e-12 * gamma[0]
 
-    def test_batch_rows_match_serial(self):
+    def test_batch_rows_are_consecutive_runs_of_one_stream(self):
         models = [NoiseModel.farima(0.1), NoiseModel.farima(0.3), NoiseModel.white()]
         batch = sample_paths(models, 512, master_seed=42)
-        for i, model in enumerate(models):
-            row = sample_path(model, 512, seed=np.random.SeedSequence(42, spawn_key=(i,)))
-            assert np.array_equal(batch[i], row)
+        z = np.random.default_rng(42).standard_normal((3, 1024))
+        sqrt_spec = noise._embedding_spectra(tuple(models), 512)
+        h, x = np.empty((3, 513), dtype=complex), np.empty((3, 1024))
+        want = noise._paths_from_normals(z, sqrt_spec, h, x)[:, :512]
+        assert np.array_equal(batch, want)
+        assert np.array_equal(batch[0], sample_path(models[0], 512, seed=42))
 
     def test_n_points_one(self):
         x = sample_path(NoiseModel.farima(0.4), 1, seed=0)

@@ -1,9 +1,10 @@
 """The real-transform sampler and the cached blurred truth: ``sample_path``,
 ``sample_paths`` and ``simulate_observations`` match a per-row complex-FFT
-sampler that embeds the same N + 1 lags in m = 2N points and keeps the first
-N, and the per-call signal (the signal bit for bit, the noise to within
-1e-12 of its largest entry), and give the same bits in a batch as one row at
-a time, at any block size and on any thread."""
+sampler that embeds the same N + 1 lags in m = 2N points, keeps the first N
+and draws row l's normals as the l-th run of 2N from one generator, and the
+per-call signal (the signal bit for bit, the noise to within 1e-12 of its
+largest entry); they give the same bits at any block size and on any
+thread, and a call builds one generator however many rows it draws."""
 
 import math
 import sys
@@ -31,7 +32,8 @@ from lrdeconv.noise import NoiseModel, autocovariance, sample_path, sample_paths
 # The sampler without blocks or real transforms: one complex-FFT spectrum per
 # model, the weights built row by row in complex arithmetic, and a complex FFT
 # of the full embedding.  An N-point path is the first N points of the
-# minimal circulant embedding of N + 1 lags, m = 2N.
+# minimal circulant embedding of N + 1 lags, m = 2N, and row l takes normals
+# 2N l .. 2N (l + 1) - 1 of the one generator default_rng(seed).
 
 def reference_embedding_spectrum(model, n_lags):
     """sqrt(spectrum / m) of the minimal embedding of n_lags lags, m = 2(n_lags - 1)."""
@@ -66,13 +68,11 @@ def reference_sample_path(model, n_points, seed):
 
 
 def reference_sample_paths(models, n_points, master_seed):
-    root = as_seed_sequence(master_seed)
+    rng = np.random.default_rng(as_seed_sequence(master_seed))
     embs = [reference_embedding_spectrum(mod, n_points + 1) for mod in models]
     weighted = np.empty((len(embs), embs[0][1]), dtype=complex)
     for i, (sqrt_spec, m) in enumerate(embs):
-        seed = np.random.SeedSequence(root.entropy, spawn_key=tuple(root.spawn_key) + (i,))
-        weighted[i] = sqrt_spec * reference_draw_embedding_normals(
-            np.random.default_rng(seed), m)
+        weighted[i] = sqrt_spec * reference_draw_embedding_normals(rng, m)
     return np.fft.fft(weighted, axis=1).real[:, :n_points].copy()
 
 
@@ -98,12 +98,6 @@ TOLERANCE = 1e-12
 def assert_close(got, want):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= TOLERANCE * np.abs(want).max()
-
-
-def one_row_at_a_time(models, n_points, master_seed):
-    root = as_seed_sequence(master_seed)
-    return np.array([sample_path(model, n_points, np.random.SeedSequence(
-        root.entropy, spawn_key=tuple(root.spawn_key) + (i,))) for i, model in enumerate(models)])
 
 
 # ---------------------------------------------------------------- sampler
@@ -154,17 +148,34 @@ class TestSamplerMatchesReference:
         seed = np.random.SeedSequence(2024, spawn_key=(N, 7))
         got = sample_paths(models, N, seed)
         assert_close(got, reference_sample_paths(models, N, seed))
-        assert bits(got) == bits(one_row_at_a_time(models, N, seed))
+        with mock.patch.object(noise, "_BLOCK_POINTS", 1):
+            assert bits(sample_paths(models, N, seed)) == bits(got)
 
 
 class TestSamplerBits:
     @settings(max_examples=150, deadline=None)
     @given(models=st.lists(models_st, min_size=1, max_size=13),
            n_points=st.integers(1, 4096), seed=seeds_st, block=block_st)
-    def test_a_batch_is_its_rows_drawn_one_at_a_time(self, models, n_points, seed, block):
+    def test_bits_do_not_depend_on_the_block_size(self, models, n_points, seed, block):
+        want = sample_paths(models, n_points, seed)
         with mock.patch.object(noise, "_BLOCK_POINTS", block):
-            got = sample_paths(models, n_points, seed)
-        assert bits(got) == bits(one_row_at_a_time(models, n_points, seed))
+            assert bits(sample_paths(models, n_points, seed)) == bits(want)
+        assert bits(sample_path(models[0], n_points, seed)) == bits(
+            sample_paths(models[:1], n_points, seed)[0])
+
+    def test_a_call_builds_one_generator(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(noise.np.random, "default_rng", counting)
+        models = [NoiseModel.farima(0.1 + 0.3 * l / 1024) for l in range(1024)]
+        y = sample_paths(models, 1024, np.random.SeedSequence(5, spawn_key=(2 ** 20, 0)))
+        assert y.shape == (1024, 1024)
+        assert len(calls) == 1
 
     def test_spectra_do_not_depend_on_the_block_size(self):
         models = tuple(NoiseModel.farima(0.4 * l / 9) for l in range(9)) + (NoiseModel.fgn(0.7),)
