@@ -16,12 +16,19 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channels import characterize_kernel, epsilon_n, kernel_fourier, simulate_observations
+from .channels import (
+    ChannelDesign,
+    characterize_kernel,
+    epsilon_n,
+    kernel_fourier,
+    simulate_observations,
+)
 from .config import (
     RunConfig,
     build_estimator_config,
@@ -134,9 +141,8 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     kernel = build_kernel(cfg)
     est_cfg = build_estimator_config(cfg)
     if args.dry_run:
-        _, n_star = epsilon_n(design)
-        j0, J, _ = choose_levels(n_star, est_cfg, N=design.N)
-        print(f"estimate: n*={n_star:.6g} j0={j0} J={J}")
+        p = _plan(design, est_cfg)
+        print(f"estimate: n*={p['n_star']:.6g} j0={p['j0']} J={p['J']}")
         return 0
     path = out / "y.csv"
     y = _load_y(path, cfg)
@@ -171,8 +177,10 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
                  ("j0", diag.j0), ("J", diag.J),
                  ("n_ill_posed", len(diag.ill_posed))]
     diag_rows += [("ill_posed_m", m) for m in diag.ill_posed]
-    diag_rows += [(f"kept_blocks_j{j}", k) for j, k in sorted(diag.kept_blocks.items())]
-    diag_rows += [(f"total_blocks_j{j}", k) for j, k in sorted(diag.total_blocks.items())]
+    total = Counter(d.level for d in result.decisions)
+    kept = Counter(d.level for d in result.decisions if d.kept)
+    diag_rows += [(f"kept_blocks_j{j}", kept[j]) for j in sorted(total)]
+    diag_rows += [(f"total_blocks_j{j}", total[j]) for j in sorted(total)]
     diag_rows += [("warning", w) for w in diag.warnings]
     _write_table(out / "diagnostics.csv", header, ["key", "value"], diag_rows)
     _write_manifest(out, cfg, "estimate", seed)
@@ -180,17 +188,13 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     return 0
 
 
-def _bench_plan(cfg: RunConfig, est_cfg) -> list[dict]:
-    """The resolved plan of each grid point: n, M, N, n*, j0, J and the level
+def _plan(design: ChannelDesign, est_cfg) -> dict:
+    """The resolved plan of a design: n, M, N, n*, j0, J and the level
     warnings of ``choose_levels``."""
-    plan = []
-    for n in cfg.bench["n_grid"]:
-        design = design_for_n(cfg, int(n))
-        _, n_star = epsilon_n(design)
-        j0, J, warnings = choose_levels(n_star, est_cfg, N=design.N)
-        plan.append({"n": design.n, "M": design.M, "N": design.N, "n_star": n_star,
-                     "j0": j0, "J": J, "warnings": warnings})
-    return plan
+    _, n_star = epsilon_n(design)
+    j0, J, warnings = choose_levels(n_star, est_cfg, N=design.N)
+    return {"n": design.n, "M": design.M, "N": design.N, "n_star": n_star,
+            "j0": j0, "J": J, "warnings": warnings}
 
 
 def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
@@ -198,11 +202,13 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         raise ConfigError("bench command requires a 'bench' section")
     est_cfg = build_estimator_config(cfg)
     kernel = build_kernel(cfg)
-    if kernel.kind == "table":  # before any replicate: the estimator reads |m| <= N/2 - 1
-        for n in cfg.bench["n_grid"]:
-            design = design_for_n(cfg, int(n))
+    n_grid = [int(n) for n in cfg.bench["n_grid"]]
+    designs, plan = {}, []
+    for n in n_grid:
+        design = designs[n] = design_for_n(cfg, n)
+        if kernel.kind == "table":  # before any replicate: the estimator reads |m| <= N/2 - 1
             kernel_fourier(kernel, design.u_array(), np.arange(1 - design.N // 2, design.N // 2))
-    plan = _bench_plan(cfg, est_cfg)
+        plan.append(_plan(design, est_cfg))
     if args.dry_run:
         for p in plan:
             if est_cfg.supersmooth or p["j0"] == p["J"]:
@@ -218,10 +224,10 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     fc = None if ball is None else theoretical_rate(
         ball, est_cfg.nu, est_cfg.lambda1, est_cfg.alpha1, est_cfg.beta)
     reps = int(cfg.bench.get("reps", 100))
-    report = mc_risk(truth, lambda n: design_for_n(cfg, n), kernel, est_cfg,
-                     [int(n) for n in cfg.bench["n_grid"]], reps, seed,
+    report = mc_risk(truth, designs.__getitem__, kernel, est_cfg, n_grid, reps, seed,
                      threads=args.threads)
-    regressor = cfg.bench.get("regressor", "log_nstar")
+    # the rate is a power of ln n* in the super-smooth regime and of n* otherwise
+    regressor = "log_log_nstar" if est_cfg.supersmooth else "log_nstar"
     try:
         slope, slope_se, r2 = fit_rate(report, regressor)
         no_fit = None
@@ -235,7 +241,7 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     _write_table(out / "risk_report.csv", header,
                  ["n", "M", "N", "n_star", "risk_mean", "risk_se", "reps"], report.rows)
     xs = np.log(report.column("n_star").astype(float))
-    if regressor == "log_log_nstar":
+    if est_cfg.supersmooth:
         xs = np.log(xs)
     ys = np.log(report.column("risk_mean").astype(float))
     np.savetxt(out / "risk_curve.dat", np.column_stack([xs, ys]), fmt=FMT, delimiter=" ",
@@ -272,15 +278,15 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     else:
         lines = [f"experiment {cfg.experiment}: no rate fitted: {no_fit}"]
     if fc is not None:
-        if fc.regime == "supersmooth":
-            lines.append(f"forecast ({fc.regime}): risk ~ (ln n*)^(-{fc.log_exponent:.4f})")
-            if regressor == "log_log_nstar" and no_fit is None:
-                lines.append(f"slope gap: {slope + fc.log_exponent:+.4f}")
+        if est_cfg.supersmooth:
+            target = fc.log_exponent
+            lines.append(f"forecast ({fc.regime}): risk ~ (ln n*)^(-{target:.4f})")
         else:
-            lines.append(f"forecast ({fc.regime}): risk ~ (n*)^(-{fc.exponent:.4f}), "
-                         f"target slope -{fc.exponent:.4f}")
-            if no_fit is None:
-                lines.append(f"slope gap: {slope + fc.exponent:+.4f}")
+            target = fc.exponent
+            lines.append(f"forecast ({fc.regime}): risk ~ (n*)^(-{target:.4f}), "
+                         f"target slope -{target:.4f}")
+        if no_fit is None:
+            lines.append(f"slope gap: {slope + target:+.4f}")
     if seminorm is not None:
         lines.append(f"besov certificate: seminorm {seminorm['value']:.4f} "
                      f"(levels {seminorm['j0']}..{seminorm['J']}) vs radius {ball.radius}")

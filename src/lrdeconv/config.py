@@ -172,15 +172,13 @@ def validate_config(cfg: RunConfig):
     sizes = [_require(design, "n", "design")]
 
     if cfg.bench is not None:
-        _check_keys(cfg.bench, {"n_grid", "reps", "ball", "regressor"}, "bench")
+        _check_keys(cfg.bench, {"n_grid", "reps", "ball"}, "bench")
         n_grid = _require(cfg.bench, "n_grid", "bench")
         if len(n_grid) < 1:
             raise ConfigError("bench.n_grid must be nonempty")
         sizes += n_grid
         if int(cfg.bench.get("reps", 100)) < 30:
             raise ConfigError("bench.reps must be >= 30")
-        if cfg.bench.get("regressor", "log_nstar") not in ("log_nstar", "log_log_nstar"):
-            raise ConfigError("bench.regressor must be log_nstar or log_log_nstar")
         if cfg.bench.get("ball"):
             build_ball(cfg)
 
@@ -204,19 +202,24 @@ def validate_config(cfg: RunConfig):
             int(value)  # cmd_characterize converts them the same way
 
 
+def _noise_model(kind, d: float, scale: float) -> NoiseModel:
+    """The noise law of a channel with memory exponent d (fGn: Hurst index d + 1/2)."""
+    if kind == "white" and d != 0.0:
+        raise ConfigError("noise.kind=white requires all d_l = 0 (white noise has d = 0)")
+    if kind == "fgn":
+        return NoiseModel.fgn(d + 0.5, scale)
+    return NoiseModel(kind, d, scale)  # NoiseModel rejects any other kind
+
+
 def _noise_model_from(spec: dict) -> NoiseModel:
     _check_keys(spec, {"kind", "d", "hurst", "scale"}, "noise model")
     kind = spec.get("kind")
     scale = float(spec.get("scale", 1.0))
-    if kind == "white":
-        return NoiseModel.white(scale)
-    if kind == "farima":
-        return NoiseModel.farima(float(_require(spec, "d", "noise model")), scale)
-    if kind == "fgn":
-        if "hurst" in spec:
-            return NoiseModel.fgn(float(spec["hurst"]), scale)
-        return NoiseModel.fgn(float(_require(spec, "d", "noise model")) + 0.5, scale)
-    raise ConfigError(f"unknown noise kind {kind!r}")
+    if kind == "fgn" and "hurst" in spec:
+        return NoiseModel.fgn(float(spec["hurst"]), scale)
+    if kind in ("farima", "fgn"):
+        return _noise_model(kind, float(_require(spec, "d", "noise model")), scale)
+    return _noise_model(kind, 0.0, scale)  # white reads no d; NoiseModel rejects other kinds
 
 
 def _split_n(cfg: RunConfig, n: int) -> tuple[int, int]:
@@ -286,15 +289,7 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
 
     noise_kind = _require(cfg.noise, "kind", "noise")
     scale = float(cfg.noise.get("scale", 1.0))
-    if noise_kind == "white":
-        if any(dl != 0.0 for dl in d):
-            raise ConfigError("noise.kind=white requires all d_l = 0 (white noise has d = 0)")
-        models = tuple(NoiseModel.white(scale) for _ in d)
-    elif noise_kind == "fgn":
-        models = tuple(NoiseModel.fgn(dl + 0.5, scale) for dl in d)
-    else:  # farima; NoiseModel rejects any other kind
-        models = tuple(NoiseModel(noise_kind, dl, scale) for dl in d)
-
+    models = tuple(_noise_model(noise_kind, dl, scale) for dl in d)
     return ChannelDesign(u, d, N, models)
 
 

@@ -107,8 +107,6 @@ class ThresholdDecision:
 @dataclass
 class EstimateDiagnostics:
     ill_posed: list = field(default_factory=list)
-    kept_blocks: dict = field(default_factory=dict)
-    total_blocks: dict = field(default_factory=dict)
     epsilon_n: float = 1.0
     n_star: float = 0.0
     j0: int = 0
@@ -315,10 +313,6 @@ def estimate(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
         thresholded, decisions = coeffs, []
     else:
         thresholded, decisions = block_threshold(coeffs, design.n, n_star, config)
-        for j in range(j0, J):
-            level = [d for d in decisions if d.level == j]
-            diag.kept_blocks[j] = sum(d.kept for d in level)
-            diag.total_blocks[j] = len(level)
 
     series = synthesize_series(thresholded, spec)
     grid = coeffs_to_grid(series, design.N).real

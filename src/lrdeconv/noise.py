@@ -104,7 +104,7 @@ class CovarianceSummary:
 def spectral_density(model: NoiseModel, lam) -> np.ndarray:
     """Spectral density a(lambda) on [-pi, pi].
 
-    White: scale^2 / (2 pi).  FARIMA(0,d,0):
+    White, and every family at d = 0: scale^2 / (2 pi).  FARIMA(0,d,0):
     (scale^2 / 2 pi) |2 (1 - cos lambda)|^(-d).  fGn: the classical
     4 sin^2(lambda/2) * sum_k |k + lambda/(2 pi)|^(-2H-1) series, evaluated
     exactly through Hurwitz zeta functions.
@@ -116,7 +116,7 @@ def spectral_density(model: NoiseModel, lam) -> np.ndarray:
         raise NumericError("spectral density has a pole at lambda = 0 when d > 0")
 
     sigma2 = model.scale ** 2
-    if model.kind == "white" or (model.kind == "farima" and model.d == 0.0):
+    if model.kind == "white" or model.d == 0.0:
         out = np.full_like(lam_arr, sigma2 / (2 * np.pi))
         return out if out.shape else float(out)
 
@@ -126,17 +126,14 @@ def spectral_density(model: NoiseModel, lam) -> np.ndarray:
 
     from scipy import special  # imported here so that ``estimate`` never loads scipy
 
-    # fGn: sum_{k in Z} |k + x|^(-s) = zeta(s, x) + zeta(s, 1 - x), x in (0, 1)
+    # fGn: sum_{k in Z} |k + x|^(-s) = zeta(s, x) + zeta(s, 1 - x), x in (0, 1/2]
+    # (d > 0 here, so lambda = 0 was rejected above as the pole)
     H = model.hurst
     s = 2 * H + 1
     x = np.abs(lam_arr) / (2 * np.pi)
-    zero = x == 0.0
-    xs = np.where(zero, 0.25, x)  # placeholder, overwritten below
-    series = special.zeta(s, xs) + special.zeta(s, 1.0 - xs)
+    series = special.zeta(s, x) + special.zeta(s, 1.0 - x)
     const = sigma2 * (2 * np.pi) ** (-2 * H - 2) * special.gamma(2 * H + 1) * np.sin(np.pi * H)
     out = const * 4.0 * np.sin(lam_arr / 2.0) ** 2 * series
-    if np.any(zero):  # only reachable for H = 1/2 (d = 0): the white limit
-        out = np.where(zero, sigma2 / (2 * np.pi), out)
     return out if out.shape else float(out)
 
 
@@ -221,12 +218,6 @@ def _embedding_spectra(models: tuple, n_points: int) -> np.ndarray:
     return spectra
 
 
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _paths_from_normals(z: np.ndarray, sqrt_spec: np.ndarray, h: np.ndarray,
                         x: np.ndarray) -> np.ndarray:
     """Row i of x: fft(s_i * xi_i), s_i the symmetric extension of sqrt_spec[i]
@@ -285,7 +276,7 @@ def sample_path(model: NoiseModel, n_points: int, seed) -> np.ndarray:
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
     sqrt_spec = _embedding_spectra((model,), n_points)
-    return _sample_rows(_as_seed_sequence(seed), sqrt_spec, n_points)[0]
+    return _sample_rows(seed, sqrt_spec, n_points)[0]
 
 
 def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
@@ -296,8 +287,7 @@ def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
     So the result is deterministic in (models, N, master_seed), whatever the
     block size, and row 0 is ``sample_path(models[0], N, master_seed)``.
     """
-    return _sample_rows(_as_seed_sequence(master_seed),
-                        _embedding_spectra(tuple(models), n_points), n_points)
+    return _sample_rows(master_seed, _embedding_spectra(tuple(models), n_points), n_points)
 
 
 def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary:

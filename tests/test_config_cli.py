@@ -597,6 +597,32 @@ class TestSimulateEstimate:
         else:
             assert rows == []
 
+    def test_block_counts_are_the_decisions_per_level(self, tmp_path):
+        # a table kernel (1 + |m|)^(-1/2) and a narrow bump at levels 3..11: some
+        # blocks are kept and others killed
+        table = tmp_path / "kernel.txt"
+        m = np.arange(-2047, 2048)
+        u = [0.25, 0.5, 0.75, 1.0]
+        save_kernel_table(table, m, u, np.outer((1.0 + np.abs(m)) ** -0.5, np.ones(len(u))))
+        text = FINE_CONFIG.replace("{table}", str(table)).replace(
+            "kind: smooth_sine\n  band: 8\n  params: {{freq: 3}}",
+            "kind: bump_mix\n  band: 600\n  params: {{centers: [0.3], widths: [0.004]}}")
+        path, out = write_config(tmp_path, text)
+        for command in ("simulate", "estimate"):
+            assert main([command, "--config", str(path)]) == 0
+        decisions = np.loadtxt(out / "decisions.csv", delimiter=",", skiprows=5)
+        level, kept = decisions[:, 0].astype(int), decisions[:, 4].astype(int)
+        assert 0 < kept.sum() < len(kept)
+        body = [l.split(",") for l in (out / "diagnostics.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        levels = range(3, 11)
+        assert body[6:] == (
+            [[f"kept_blocks_j{j}", str(kept[level == j].sum())] for j in levels]
+            + [[f"total_blocks_j{j}", str((level == j).sum())] for j in levels])
+        assert [r[0] for r in body[:6]] == [
+            "key", "epsilon_n", "n_star", "j0", "J", "n_ill_posed"]
+        assert body[5] == ["n_ill_posed", "0"]
+
     def test_dry_run_prints_plan_without_output(self, tmp_path, capsys):
         path, out = write_config(tmp_path, BASE_CONFIG)
         assert main(["bench", "--config", str(path), "--dry-run"]) == 0
@@ -662,6 +688,9 @@ class TestBenchCommand:
         meta = json.loads((out / "risk_meta.json").read_text())
         assert meta["forecast"]["exponent"] == pytest.approx(4.0 / 9.0)
         assert "besov_certificate" in meta
+        assert meta["regressor"] == "log_nstar"
+        gap = meta["fitted_slope"] + meta["forecast"]["exponent"]
+        assert f"slope gap: {gap:+.4f}" in (out / "summary.txt").read_text().splitlines()
         curve = [l for l in (out / "risk_curve.dat").read_text().splitlines()
                  if not l.startswith("#")]
         rows = [l.split(",") for l in report[header_idx + 1:]]
@@ -680,6 +709,40 @@ class TestBenchCommand:
             ["j0 = 3 exceeds J = 2; clamped (estimator is linear)"]]
         assert [line.split(" j0=")[0] for line in dry_lines] == [
             f"n={p['n']} M={p['M']} N={p['N']} n*={p['n_star']:.6g}" for p in plan]
+
+    def test_supersmooth_fit_is_against_log_ln_nstar(self, tmp_path, capsys):
+        text = (CONFIGS / "heat-supersmooth-d04.yaml").read_text()
+        grid = "n_grid: [16384, 32768, 65536, 131072, 262144, 524288, 1048576, 2097152]"
+        assert grid in text and "reps: 150" in text
+        path = tmp_path / "cut.yaml"
+        path.write_text(text.replace(grid, "n_grid: [16384, 32768, 65536, 131072]")
+                        .replace("reps: 150", "reps: 30"))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "risk_meta.json").read_text())
+        assert meta["regressor"] == "log_log_nstar"
+        assert meta["forecast"]["regime"] == "supersmooth"
+        gap = meta["fitted_slope"] + meta["forecast"]["log_exponent"]
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[0].startswith(
+            "experiment heat-supersmooth-d04: fitted slope of log risk vs log_log_nstar = ")
+        assert f"slope gap: {gap:+.4f}" in summary
+        rows = [l.split(",") for l in (out / "risk_report.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        xs = np.log(np.log([float(r[3]) for r in rows]))
+        ys = np.log([float(r[4]) for r in rows])
+        curve = [l for l in (out / "risk_curve.dat").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert curve == ["%.17g %.17g" % (x, y) for x, y in zip(xs, ys)]
+
+    def test_regressor_is_not_a_key(self, tmp_path, capsys):
+        # the fit axis follows the regime, so a config cannot choose it
+        text = BASE_CONFIG.replace("  reps: 30\n", "  reps: 30\n  regressor: log_log_nstar\n")
+        path, out = write_config(tmp_path, text)
+        assert main(["bench", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown keys in 'bench': ['regressor']\n")
+        assert not out.exists()
 
     def test_threads_reproducibility(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path, BASE_CONFIG)
