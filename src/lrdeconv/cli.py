@@ -31,13 +31,15 @@ from .channels import (
 )
 from .config import (
     RunConfig,
+    build_bench,
+    build_design,
+    build_eigencheck,
     build_estimator_config,
-    build_ball,
     build_kernel,
     build_truth,
+    characterize_range,
     config_hash,
     design_for_n,
-    eigencheck_models,
     load_config,
 )
 from .errors import ConfigError, DegenerateFitError, NumericError
@@ -102,7 +104,7 @@ def _read_hash(path: Path) -> str:
 
 
 def cmd_simulate(cfg: RunConfig, seed: int, out: Path, args) -> int:
-    design = design_for_n(cfg, int(cfg.design["n"]))
+    design = build_design(cfg)
     kernel = build_kernel(cfg)
     truth = build_truth(cfg)
     if args.dry_run:
@@ -137,7 +139,7 @@ def _load_y(path: Path, cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
-    design = design_for_n(cfg, int(cfg.design["n"]))
+    design = build_design(cfg)
     kernel = build_kernel(cfg)
     est_cfg = build_estimator_config(cfg)
     if args.dry_run:
@@ -198,11 +200,9 @@ def _plan(design: ChannelDesign, est_cfg) -> dict:
 
 
 def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
-    if cfg.bench is None:
-        raise ConfigError("bench command requires a 'bench' section")
+    n_grid, reps, ball = build_bench(cfg)
     est_cfg = build_estimator_config(cfg)
     kernel = build_kernel(cfg)
-    n_grid = [int(n) for n in cfg.bench["n_grid"]]
     designs, plan = {}, []
     for n in n_grid:
         design = designs[n] = design_for_n(cfg, n)
@@ -220,10 +220,8 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
                   f"j0={p['j0']} J={p['J']} {lams}")
         return 0
     truth = build_truth(cfg)
-    ball = build_ball(cfg) if cfg.bench.get("ball") else None
     fc = None if ball is None else theoretical_rate(
         ball, est_cfg.nu, est_cfg.lambda1, est_cfg.alpha1, est_cfg.beta)
-    reps = int(cfg.bench.get("reps", 100))
     report = mc_risk(truth, designs.__getitem__, kernel, est_cfg, n_grid, reps, seed,
                      threads=args.threads)
     # the rate is a power of ln n* in the super-smooth regime and of n* otherwise
@@ -309,8 +307,7 @@ def _truth_seminorm(truth, ball) -> dict:
 
 
 def cmd_eigencheck(cfg: RunConfig, seed: int, out: Path, args) -> int:
-    models = eigencheck_models(cfg)
-    n_list = sorted(int(n) for n in cfg.eigencheck["n_list"])
+    models, n_list = build_eigencheck(cfg)
     if args.dry_run:
         print(f"eigencheck: {len(models)} models x N in {n_list}")
         return 0
@@ -341,15 +338,14 @@ def cmd_eigencheck(cfg: RunConfig, seed: int, out: Path, args) -> int:
 
 
 def cmd_characterize(cfg: RunConfig, seed: int, out: Path, args) -> int:
-    design = design_for_n(cfg, int(cfg.design["n"]))
+    design = build_design(cfg)
     kernel = build_kernel(cfg)
-    section = cfg.characterize or {}
-    m_min = int(section.get("m_min", 4))
-    m_max = int(section.get("m_max", min(64, design.N // 2 - 1)))
+    m_range = characterize_range(cfg, design)
     if args.dry_run:
-        print(f"characterize: m range {m_min}..{m_max} on M={design.M} N={design.N}")
+        print(f"characterize: m range {m_range.start}..{m_range.stop - 1} "
+              f"on M={design.M} N={design.N}")
         return 0
-    fit = characterize_kernel(design, kernel, range(m_min, m_max + 1))
+    fit = characterize_kernel(design, kernel, m_range)
     header = _header(cfg, "characterize", seed)
     _write_table(out / "kernel_fit.csv", header,
                  ["nu", "lambda", "alpha", "beta", "regime",

@@ -2,7 +2,8 @@
 
 The same file drives every subcommand, and every section is checked when the
 file is loaded, whichever command loads it: a config is checked by building
-what it describes.  Parsing is strict: unknown keys and constraint
+what it describes.  Each section has one reader, its builder, which checks
+its keys, holds its defaults and converts its values.  Parsing is strict: unknown keys and constraint
 violations raise ConfigError with the violated constraint named, and
 ``parse(serialize(config)) == config`` holds exactly.
 """
@@ -36,11 +37,15 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "config_hash",
+    "build_design",
     "design_for_n",
     "build_kernel",
     "build_truth",
     "build_estimator_config",
+    "build_bench",
     "build_ball",
+    "build_eigencheck",
+    "characterize_range",
 ]
 
 
@@ -54,6 +59,12 @@ def _check_keys(mapping: dict, allowed: set, section: str):
     extra = set(mapping) - allowed
     if extra:
         raise ConfigError(f"unknown keys in '{section}': {sorted(extra)}")
+
+
+# Root keys: the required ones with the type each is read as, then the optional sections.
+_REQUIRED = {"experiment": str, "seed": int, "output_dir": str,
+             "design": dict, "noise": dict, "kernel": dict}
+_OPTIONAL = ("truth", "estimator", "bench", "eigencheck", "characterize")
 
 
 @dataclass
@@ -73,18 +84,8 @@ class RunConfig:
     characterize: dict | None = None
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "design": self.design,
-            "noise": self.noise,
-            "kernel": self.kernel,
-        }
-        for key in ("truth", "estimator", "bench", "eigencheck", "characterize"):
-            value = getattr(self, key)
-            if value:
-                out[key] = value
+        out: dict[str, Any] = {key: getattr(self, key) for key in _REQUIRED}
+        out.update((key, getattr(self, key)) for key in _OPTIONAL if getattr(self, key))
         return out
 
 
@@ -95,21 +96,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of sections")
-    _check_keys(raw, {"experiment", "seed", "output_dir", "design", "noise", "kernel",
-                      "truth", "estimator", "bench", "eigencheck", "characterize"}, "<root>")
+    _check_keys(raw, {*_REQUIRED, *_OPTIONAL}, "<root>")
     try:
         cfg = RunConfig(
-            experiment=str(_require(raw, "experiment", "<root>")),
-            seed=int(_require(raw, "seed", "<root>")),
-            output_dir=str(_require(raw, "output_dir", "<root>")),
-            design=dict(_require(raw, "design", "<root>")),
-            noise=dict(_require(raw, "noise", "<root>")),
-            kernel=dict(_require(raw, "kernel", "<root>")),
-            truth=dict(raw["truth"]) if raw.get("truth") else None,
-            estimator=dict(raw.get("estimator") or {}),
-            bench=dict(raw["bench"]) if raw.get("bench") else None,
-            eigencheck=dict(raw["eigencheck"]) if raw.get("eigencheck") else None,
-            characterize=dict(raw["characterize"]) if raw.get("characterize") else None,
+            **{key: read(_require(raw, key, "<root>")) for key, read in _REQUIRED.items()},
+            **{key: dict(raw[key]) for key in _OPTIONAL if raw.get(key)},
         )
         validate_config(cfg)
     except (TypeError, ValueError) as exc:  # a value of the wrong type or form
@@ -137,69 +128,31 @@ def config_hash(cfg: RunConfig) -> str:
 def validate_config(cfg: RunConfig):
     """Check a config by building what it describes.
 
-    The builders hold the model's rules (NoiseModel, ChannelDesign,
-    BlurKernel, EstimatorConfig, BesovBall, make_test_function), so this
-    checks the keys and the few rules no builder makes, then builds the
-    design at ``design.n`` and at every ``bench.n_grid`` point and each
-    object the commands build, and checks the truth's band against every
-    design built.  The kernel table is not read here: the
-    commands read it, and a missing one is an I/O failure.
+    Each builder checks the keys of the section it reads, holds its defaults
+    and converts its values; what it builds holds the model's rules.  So
+    this checks the seed, builds the design at ``design.n`` and at every
+    ``bench.n_grid`` point and each object the commands build, and checks
+    the truth's band and the level override against every design built.
+    The kernel table is not read here: the commands read it, and a missing
+    one is an I/O failure.
     """
     if cfg.seed < 0 or cfg.seed >= 2 ** 64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
-
-    design = cfg.design
-    _check_keys(design, {"n", "theta", "m_rule", "M", "u_rule", "d_rule"}, "design")
-    _check_keys(dict(design.get("u_rule") or {}), {"kind", "a", "b", "values"}, "design.u_rule")
-    _check_keys(dict(design.get("d_rule") or {}), {"kind", "value", "a1", "a2", "values"},
-                "design.d_rule")
-    _check_keys(cfg.noise, {"kind", "scale"}, "noise")
-
-    _check_keys(cfg.kernel, {"kind", "c", "q0", "q1", "table_path"}, "kernel")
-    if cfg.kernel.get("kind") != "table":
-        build_kernel(cfg)
-    elif not cfg.kernel.get("table_path"):
-        raise ConfigError("kernel.kind=table requires kernel.table_path")
-
-    truth = None
-    if cfg.truth is not None:
-        _check_keys(cfg.truth, {"kind", "band", "amplitude", "params"}, "truth")
-        truth = build_truth(cfg)
-
-    _check_keys(cfg.estimator, {"mu", "nu", "lambda1", "alpha1", "beta",
-                                "denom_tol", "level_override"}, "estimator")
+    designs = [build_design(cfg)]
+    _kernel_or_table(cfg)
+    truth = None if cfg.truth is None else build_truth(cfg)
     est = build_estimator_config(cfg)
-    sizes = [_require(design, "n", "design")]
-
     if cfg.bench is not None:
-        _check_keys(cfg.bench, {"n_grid", "reps", "ball"}, "bench")
-        n_grid = _require(cfg.bench, "n_grid", "bench")
-        if len(n_grid) < 1:
-            raise ConfigError("bench.n_grid must be nonempty")
-        sizes += n_grid
-        if int(cfg.bench.get("reps", 100)) < 30:
-            raise ConfigError("bench.reps must be >= 30")
-        if cfg.bench.get("ball"):
-            build_ball(cfg)
-
-    for n in sizes:
-        built = design_for_n(cfg, int(n))
+        designs += [design_for_n(cfg, n) for n in build_bench(cfg)[0]]
+    for built in designs:
         if truth is not None:
             require_alias_free(truth, built)
         if est.level_override is not None:
             choose_levels(epsilon_n(built)[1], est, built.N)  # raises above the band
-
     if cfg.eigencheck is not None:
-        _check_keys(cfg.eigencheck, {"models", "n_list"}, "eigencheck")
-        eigencheck_models(cfg)
-        for n in _require(cfg.eigencheck, "n_list", "eigencheck"):
-            if int(n) > DENSE_EIGEN_LIMIT:
-                raise ConfigError(f"eigencheck.n_list entries must be <= {DENSE_EIGEN_LIMIT}")
-
+        build_eigencheck(cfg)
     if cfg.characterize is not None:
-        _check_keys(cfg.characterize, {"m_min", "m_max"}, "characterize")
-        for value in cfg.characterize.values():
-            int(value)  # cmd_characterize converts them the same way
+        characterize_range(cfg, designs[0])
 
 
 def _noise_model(kind, d: float, scale: float) -> NoiseModel:
@@ -219,7 +172,7 @@ def _noise_model_from(spec: dict) -> NoiseModel:
         return NoiseModel.fgn(float(spec["hurst"]), scale)
     if kind in ("farima", "fgn"):
         return _noise_model(kind, float(_require(spec, "d", "noise model")), scale)
-    return _noise_model(kind, 0.0, scale)  # white reads no d; NoiseModel rejects other kinds
+    return NoiseModel(kind, float(spec.get("d", 0.0)), scale)  # rejects white with d > 0
 
 
 def _split_n(cfg: RunConfig, n: int) -> tuple[int, int]:
@@ -249,11 +202,21 @@ def _split_n(cfg: RunConfig, n: int) -> tuple[int, int]:
     return M, N
 
 
+def build_design(cfg: RunConfig) -> ChannelDesign:
+    """The channel design at the config's own sample count ``design.n``."""
+    return design_for_n(cfg, int(_require(cfg.design, "n", "design")))
+
+
 def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
-    """Materialize the channel design for a total sample count n."""
+    """The channel design for a total sample count n: the design and noise sections."""
+    _check_keys(cfg.design, {"n", "theta", "m_rule", "M", "u_rule", "d_rule"}, "design")
+    u_rule = dict(cfg.design.get("u_rule") or {"kind": "equispaced"})
+    _check_keys(u_rule, {"kind", "a", "b", "values"}, "design.u_rule")
+    d_rule = dict(cfg.design.get("d_rule") or {"kind": "constant", "value": 0.0})
+    _check_keys(d_rule, {"kind", "value", "a1", "a2", "values"}, "design.d_rule")
+    _check_keys(cfg.noise, {"kind", "scale"}, "noise")
     M, N = _split_n(cfg, n)
 
-    u_rule = dict(cfg.design.get("u_rule") or {"kind": "equispaced"})
     if u_rule.get("kind") == "equispaced":
         a = float(u_rule.get("a", 0.0))
         b = float(u_rule.get("b", 1.0))
@@ -266,7 +229,6 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
         raise ConfigError("design.u_rule.kind must be 'equispaced' or 'explicit'")
 
     # ChannelDesign and NoiseModel hold the range 0 <= d_l < 1/2
-    d_rule = dict(cfg.design.get("d_rule") or {"kind": "constant", "value": 0.0})
     kind = d_rule.get("kind")
     if kind == "constant":
         d = (float(_require(d_rule, "value", "design.d_rule")),) * M
@@ -293,11 +255,16 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
     return ChannelDesign(u, d, N, models)
 
 
-def build_kernel(cfg: RunConfig) -> BlurKernel:
+def _kernel_or_table(cfg: RunConfig) -> BlurKernel | str:
+    """The kernel section: its BlurKernel, or for a ``table`` kernel the path
+    of the file, which only ``build_kernel`` reads."""
     spec = cfg.kernel
+    _check_keys(spec, {"kind", "c", "q0", "q1", "table_path"}, "kernel")
     kind = _require(spec, "kind", "kernel")
     if kind == "table":
-        return load_kernel_table(spec["table_path"])
+        if not spec.get("table_path"):
+            raise ConfigError("kernel.kind=table requires kernel.table_path")
+        return spec["table_path"]
     return BlurKernel(
         kind=kind,
         c=float(spec.get("c", 1.0)),
@@ -305,9 +272,15 @@ def build_kernel(cfg: RunConfig) -> BlurKernel:
     )
 
 
+def build_kernel(cfg: RunConfig) -> BlurKernel:
+    kernel = _kernel_or_table(cfg)
+    return kernel if isinstance(kernel, BlurKernel) else load_kernel_table(kernel)
+
+
 def build_truth(cfg: RunConfig) -> FourierSeries:
     if cfg.truth is None:
         raise ConfigError("this command requires a 'truth' section")
+    _check_keys(cfg.truth, {"kind", "band", "amplitude", "params"}, "truth")
     params = dict(cfg.truth.get("params") or {})
     params.setdefault("amplitude", float(cfg.truth.get("amplitude", 1.0)))
     return make_test_function(_require(cfg.truth, "kind", "truth"),
@@ -315,19 +288,28 @@ def build_truth(cfg: RunConfig) -> FourierSeries:
 
 
 def build_estimator_config(cfg: RunConfig) -> EstimatorConfig:
+    """The estimator section; a key left out keeps EstimatorConfig's default."""
     est = cfg.estimator
-    override = est.get("level_override")
-    if override is not None:
-        override = tuple(int(j) for j in override)  # EstimatorConfig unpacks (j0, J)
-    return EstimatorConfig(
-        mu=float(est.get("mu", 1.0)),
-        nu=float(est.get("nu", 1.0)),
-        lambda1=float(est.get("lambda1", 0.0)),
-        alpha1=float(est.get("alpha1", 0.0)),
-        beta=float(est.get("beta", 1.0)),
-        denom_tol=float(est.get("denom_tol", 1e-12)),
-        level_override=override,
-    )
+    _check_keys(est, {"mu", "nu", "lambda1", "alpha1", "beta",
+                      "denom_tol", "level_override"}, "estimator")
+    knobs = {key: float(value) for key, value in est.items() if key != "level_override"}
+    if est.get("level_override") is not None:  # EstimatorConfig unpacks (j0, J)
+        knobs["level_override"] = tuple(int(j) for j in est["level_override"])
+    return EstimatorConfig(**knobs)
+
+
+def build_bench(cfg: RunConfig) -> tuple[list[int], int, BesovBall | None]:
+    """The bench section: its n grid, replicate count and Besov ball (or None)."""
+    if cfg.bench is None:
+        raise ConfigError("bench command requires a 'bench' section")
+    _check_keys(cfg.bench, {"n_grid", "reps", "ball"}, "bench")
+    n_grid = [int(n) for n in _require(cfg.bench, "n_grid", "bench")]
+    if len(n_grid) < 1:
+        raise ConfigError("bench.n_grid must be nonempty")
+    reps = int(cfg.bench.get("reps", 100))
+    if reps < 30:
+        raise ConfigError("bench.reps must be >= 30")
+    return n_grid, reps, build_ball(cfg) if cfg.bench.get("ball") else None
 
 
 def build_ball(cfg: RunConfig) -> BesovBall:
@@ -345,8 +327,27 @@ def build_ball(cfg: RunConfig) -> BesovBall:
     )
 
 
-def eigencheck_models(cfg: RunConfig) -> list[NoiseModel]:
+def build_eigencheck(cfg: RunConfig) -> tuple[list[NoiseModel], list[int]]:
+    """The eigencheck section: its noise models and its sorted sizes N."""
     if cfg.eigencheck is None:
         raise ConfigError("this command requires an 'eigencheck' section")
-    return [_noise_model_from(dict(spec))
-            for spec in _require(cfg.eigencheck, "models", "eigencheck")]
+    _check_keys(cfg.eigencheck, {"models", "n_list"}, "eigencheck")
+    models = [_noise_model_from(dict(spec))
+              for spec in _require(cfg.eigencheck, "models", "eigencheck")]
+    n_list = sorted(int(n) for n in _require(cfg.eigencheck, "n_list", "eigencheck"))
+    if any(n > DENSE_EIGEN_LIMIT for n in n_list):
+        raise ConfigError(f"eigencheck.n_list entries must be <= {DENSE_EIGEN_LIMIT}")
+    if any(n < 2 for n in n_list):
+        raise ConfigError("eigencheck.n_list entries must be >= 2")
+    if len(set(n_list)) < 2:  # each slope is fitted over the sizes
+        raise ConfigError("eigencheck.n_list needs at least two distinct sizes")
+    return models, n_list
+
+
+def characterize_range(cfg: RunConfig, design: ChannelDesign) -> range:
+    """The frequencies m_min..m_max that ``characterize`` fits on a design."""
+    section = cfg.characterize or {}
+    _check_keys(section, {"m_min", "m_max"}, "characterize")
+    m_min = int(section.get("m_min", 4))
+    m_max = int(section.get("m_max", min(64, design.N // 2 - 1)))
+    return range(m_min, m_max + 1)

@@ -273,10 +273,7 @@ def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
 def sample_path(model: NoiseModel, n_points: int, seed) -> np.ndarray:
     """One exact draw from N(0, [gamma(j-k)]), deterministic in (model, n, seed):
     row 0 of ``sample_paths([model], n_points, seed)``."""
-    if n_points < 1:
-        raise ConfigError("n_points must be >= 1")
-    sqrt_spec = _embedding_spectra((model,), n_points)
-    return _sample_rows(seed, sqrt_spec, n_points)[0]
+    return sample_paths((model,), n_points, seed)[0]
 
 
 def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
@@ -286,8 +283,14 @@ def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
     default_rng(master_seed): row l takes normals 2N l .. 2N (l + 1) - 1.
     So the result is deterministic in (models, N, master_seed), whatever the
     block size, and row 0 is ``sample_path(models[0], N, master_seed)``.
+    No models give a (0, N) array.
     """
-    return _sample_rows(master_seed, _embedding_spectra(tuple(models), n_points), n_points)
+    if n_points < 1:
+        raise ConfigError("n_points must be >= 1")
+    models = tuple(models)
+    if not models:
+        return np.empty((0, n_points))
+    return _sample_rows(master_seed, _embedding_spectra(models, n_points), n_points)
 
 
 def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary:

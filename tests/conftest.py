@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lrdeconv.channels import BlurKernel, ChannelDesign
-from lrdeconv.noise import NoiseModel
-
-ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
-
-
-def record_acceptance(name: str, ok: bool, detail: str) -> None:
-    ACCEPTANCE_RESULTS.append((name, ok, detail))
+from lrdeconv.channels import BlurKernel
+from testkit import ACCEPTANCE_RESULTS
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -22,21 +16,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, ok, detail in ACCEPTANCE_RESULTS:
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"{verdict}  {name}: {detail}")
-
-
-def boxcar_linear_design(n: int, a1: float = 0.2, a2: float = 0.1,
-                         theta: float = 0.5) -> ChannelDesign:
-    """Equispaced boxcar design u_l = l/M with d_l = a1 u_l + a2, M = n^theta."""
-    import math
-
-    k = int(round(math.log2(n)))
-    exp_n = int(math.floor((1.0 - theta) * k + 0.5))
-    N = 2 ** exp_n
-    M = n // N
-    u = tuple(l / M for l in range(1, M + 1))
-    d = tuple(a1 * ul + a2 for ul in u)
-    noise = tuple(NoiseModel.farima(dl) if dl > 0 else NoiseModel.white() for dl in d)
-    return ChannelDesign(u, d, N, noise)
 
 
 @pytest.fixture

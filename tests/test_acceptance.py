@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import boxcar_linear_design, record_acceptance
+from testkit import boxcar_linear_design, record_acceptance
 from lrdeconv.channels import (
     BlurKernel,
     boxcar_S_closed_form,

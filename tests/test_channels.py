@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxcar_linear_design
+from testkit import boxcar_linear_design
 from lrdeconv.channels import (
     BlurKernel,
     ChannelDesign,

@@ -1,5 +1,6 @@
 """Configuration parsing, validation, and the command line front end."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,8 +14,12 @@ import yaml
 from lrdeconv.channels import save_kernel_table, simulate_observations
 from lrdeconv.cli import COMMANDS, _load_y, main
 from lrdeconv.config import (
+    build_bench,
+    build_design,
+    build_estimator_config,
     build_kernel,
     build_truth,
+    characterize_range,
     config_hash,
     design_for_n,
     load_config,
@@ -22,6 +27,8 @@ from lrdeconv.config import (
     serialize_config,
 )
 from lrdeconv.errors import ConfigError
+from lrdeconv.estimator import EstimatorConfig
+from lrdeconv.riskbench import BesovBall
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -224,6 +231,34 @@ class TestConfigRoundTrip:
         path, _ = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match="white requires all d_l = 0"):
             load_config(path)  # the design is built, and rejected, at load
+
+
+class TestSectionBuilders:
+    def test_estimator_defaults_are_estimator_config_defaults(self, tmp_path):
+        text = NOISELESS_CONFIG.replace(
+            "estimator:\n  mu: 0.0\n  nu: 2.0\n  level_override: [3, 7]\n", "")
+        cfg = load_config(write_config(tmp_path, text)[0])
+        assert cfg.estimator == {}
+        assert build_estimator_config(cfg) == EstimatorConfig()
+
+    def test_bench_and_characterize_defaults(self, tmp_path):
+        text = BASE_CONFIG.replace("  reps: 30\n", "").replace(
+            "characterize:\n  m_min: 4\n  m_max: 15\n", "")
+        cfg = load_config(write_config(tmp_path, text)[0])
+        assert build_bench(cfg) == ([1024, 4096, 16384, 65536], 100,
+                                    BesovBall(2.0, 2.0, 2.0, 20.0))
+        design = build_design(cfg)
+        assert (design.M, design.N) == (32, 32)
+        assert characterize_range(cfg, design) == range(4, 16)  # m_max = N/2 - 1
+
+    def test_cli_reads_no_config_section(self):
+        sections = {"design", "noise", "kernel", "truth", "estimator", "bench",
+                    "eigencheck", "characterize"}
+        tree = ast.parse((SRC / "lrdeconv" / "cli.py").read_text())
+        read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+                and node.attr in sections]
+        assert read == []
 
 
 class TestCliValidation:
@@ -776,6 +811,46 @@ class TestBenchCommand:
 
 
 class TestEigencheckCommand:
+    @pytest.mark.parametrize("n_list, message", [
+        ("[64]", "needs at least two distinct sizes"),
+        ("[64, 64]", "needs at least two distinct sizes"),
+        ("[1, 64]", "entries must be >= 2"),
+    ])
+    def test_n_list_that_fits_no_slope_exits_1_at_load(self, tmp_path, capsys,
+                                                       n_list, message):
+        text = BASE_CONFIG.replace("n_list: [64, 128, 256]", f"n_list: {n_list}")
+        path, out = write_config(tmp_path, text)
+        for args in (["eigencheck"], ["simulate", "--dry-run"]):
+            assert main([*args, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: eigencheck.n_list {message}\n"
+        assert not out.exists()
+
+    def test_white_model_with_memory_exits_1_at_load(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("{{kind: white, scale: 1.0}}",
+                                   "{{kind: white, d: 0.25, scale: 1.0}}")
+        path, _ = write_config(tmp_path, text)
+        for args in (["eigencheck"], ["simulate", "--dry-run"]):
+            assert main([*args, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == "config error: white noise requires d = 0\n"
+        zero, _ = write_config(tmp_path, text.replace("d: 0.25, ", "d: 0.0, "), name="zero.yaml")
+        assert main(["eigencheck", "--dry-run", "--config", str(zero)]) == 0
+
+    def test_table_kernel_with_unknown_key_exits_1_without_reading_the_table(self, tmp_path,
+                                                                            capsys):
+        # the table file does not exist, so reading it would exit 3
+        text = FINE_CONFIG.replace("{table}", str(tmp_path / "missing.txt")) + (
+            "eigencheck:\n  models:\n    - {{kind: white}}\n  n_list: [64, 128]\n")
+        good, _ = write_config(tmp_path, text, name="good.yaml")
+        assert main(["eigencheck", "--dry-run", "--config", str(good)]) == 0
+        bad, out = write_config(
+            tmp_path, text.replace("  table_path:", "  bogus: 1\n  table_path:"), name="bad.yaml")
+        capsys.readouterr()
+        assert main(["eigencheck", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == "config error: unknown keys in 'kernel': ['bogus']\n"
+        assert not out.exists()
+
     def test_output_sorted_and_white_ratio_one(self, tmp_path):
         path, out = write_config(tmp_path, BASE_CONFIG)
         assert main(["eigencheck", "--config", str(path)]) == 0
@@ -819,7 +894,7 @@ class TestCharacterizeCommand:
             "u_rule: {{kind: equispaced, a: 1.0, b: 2.0}}",
         ).replace("d_rule: {{kind: linear, a1: 0.2, a2: 0.1}}",
                   "d_rule: {{kind: constant, value: 0.0}}").replace(
-            "kind: farima", "kind: white")
+            "noise:\n  kind: farima", "noise:\n  kind: white")
         path, out = write_config(tmp_path, text)
         assert main(["characterize", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("numeric error:")

@@ -191,6 +191,19 @@ class TestSamplePath:
         x = sample_path(NoiseModel.farima(0.4), 1, seed=0)
         assert x.shape == (1,)
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_no_points_is_a_config_error(self, n_points):
+        models = [NoiseModel.farima(0.1), NoiseModel.white()]
+        with pytest.raises(ConfigError, match="n_points must be >= 1"):
+            sample_paths(models, n_points, master_seed=1)
+        with pytest.raises(ConfigError, match="n_points must be >= 1"):
+            sample_path(models[0], n_points, seed=1)
+
+    def test_no_models_give_no_rows(self):
+        paths = sample_paths([], 64, master_seed=1)
+        assert paths.shape == (0, 64)
+        assert paths.dtype == float
+
 
 class TestToeplitzEigenBounds:
     def test_white_identity(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import boxcar_linear_design
+from testkit import boxcar_linear_design
 from lrdeconv import riskbench
 from lrdeconv.channels import BlurKernel, ChannelDesign, simulate_observations
 from lrdeconv.errors import ConfigError, DegenerateFitError, NumericError
