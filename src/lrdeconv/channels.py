@@ -43,6 +43,7 @@ __all__ = [
     "epsilon_n",
     "boxcar_S_closed_form",
     "characterize_kernel",
+    "fit_frequencies",
     "load_kernel_table",
     "save_kernel_table",
 ]
@@ -336,6 +337,17 @@ def boxcar_S_closed_form(m: int, M: int, N: int, a1: float) -> float:
     return num / den
 
 
+def fit_frequencies(m_range) -> np.ndarray:
+    """The frequencies m >= 2 of ``m_range`` that ``characterize_kernel`` fits;
+    raises ConfigError unless there are at least 8 of them and they span one
+    dyadic octave."""
+    m = np.asarray(m_range, dtype=int)
+    m = m[m >= 2]
+    if m.size < 8 or m.max() < 2 * m.min():
+        raise ConfigError("m_range must span at least one dyadic octave with m >= 2")
+    return m
+
+
 def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> KernelFit:
     """Fit the decay of tau_1(m, n) over a frequency range.
 
@@ -344,10 +356,7 @@ def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> K
     beta grid. The regime is the template with decisively smaller residual.
     The exponent convention is tau_1 ~ |m|^(-nu), matching the rate formulas.
     """
-    m = np.asarray(m_range, dtype=int)
-    m = m[m >= 2]
-    if m.size < 8 or m.max() < 2 * m.min():
-        raise ConfigError("m_range must span at least one dyadic octave with m >= 2")
+    m = fit_frequencies(m_range)
     t1 = tau_kappa(design, kernel, m, 1)
     keep = t1 > TAU_FLOOR
     if not np.any(keep):

@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import (
-    ChannelDesign,
-    characterize_kernel,
-    epsilon_n,
-    kernel_fourier,
-    simulate_observations,
-)
+from .channels import characterize_kernel, kernel_fourier, simulate_observations
 from .config import (
     RunConfig,
     build_bench,
@@ -43,7 +37,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, DegenerateFitError, NumericError
-from .estimator import block_partition, choose_levels, estimate, threshold_value
+from .estimator import block_partition, estimate, plan, threshold_value
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, analyze, needed_band
 from .noise import toeplitz_eigen_bounds
@@ -143,8 +137,8 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     kernel = build_kernel(cfg)
     est_cfg = build_estimator_config(cfg)
     if args.dry_run:
-        p = _plan(design, est_cfg)
-        print(f"estimate: n*={p['n_star']:.6g} j0={p['j0']} J={p['J']}")
+        p = plan(design, est_cfg)
+        print(f"estimate: n*={p.n_star:.6g} j0={p.j0} J={p.J}")
         return 0
     path = out / "y.csv"
     y = _load_y(path, cfg)
@@ -190,34 +184,24 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     return 0
 
 
-def _plan(design: ChannelDesign, est_cfg) -> dict:
-    """The resolved plan of a design: n, M, N, n*, j0, J and the level
-    warnings of ``choose_levels``."""
-    _, n_star = epsilon_n(design)
-    j0, J, warnings = choose_levels(n_star, est_cfg, N=design.N)
-    return {"n": design.n, "M": design.M, "N": design.N, "n_star": n_star,
-            "j0": j0, "J": J, "warnings": warnings}
-
-
 def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     n_grid, reps, ball = build_bench(cfg)
     est_cfg = build_estimator_config(cfg)
     kernel = build_kernel(cfg)
-    designs, plan = {}, []
+    designs, plans = {}, []
     for n in n_grid:
         design = designs[n] = design_for_n(cfg, n)
         if kernel.kind == "table":  # before any replicate: the estimator reads |m| <= N/2 - 1
             kernel_fourier(kernel, design.u_array(), np.arange(1 - design.N // 2, design.N // 2))
-        plan.append(_plan(design, est_cfg))
+        plans.append(plan(design, est_cfg))
     if args.dry_run:
-        for p in plan:
-            if est_cfg.supersmooth or p["j0"] == p["J"]:
+        for p in plans:
+            if not p.thresholds:
                 lams = "(linear estimator, no detail levels)"
             else:
-                lams = " ".join(f"lambda_{j}={threshold_value(j, p['n_star'], est_cfg):.3e}"
-                                for j in range(p["j0"], p["J"]))
-            print(f"n={p['n']} M={p['M']} N={p['N']} n*={p['n_star']:.6g} "
-                  f"j0={p['j0']} J={p['J']} {lams}")
+                lams = " ".join(f"lambda_{j}={threshold_value(j, p.n_star, est_cfg):.3e}"
+                                for j in range(p.j0, p.J))
+            print(f"n={p.n} M={p.M} N={p.N} n*={p.n_star:.6g} j0={p.j0} J={p.J} {lams}")
         return 0
     truth = build_truth(cfg)
     fc = None if ball is None else theoretical_rate(
@@ -250,7 +234,8 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         "experiment": cfg.experiment,
         "fitted_slope": slope,
         "fitted_slope_se": slope_se,
-        "plan": plan,
+        "plan": [{key: getattr(p, key) for key in ("n", "M", "N", "n_star", "j0", "J", "warnings")}
+                 for p in plans],
         "r_squared": r2,
         "regressor": regressor,
         "reps": reps,

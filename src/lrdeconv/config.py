@@ -10,6 +10,7 @@ violations raise ConfigError with the violated constraint named, and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -21,12 +22,12 @@ from .channels import (
     D_MAX,
     BlurKernel,
     ChannelDesign,
-    epsilon_n,
+    fit_frequencies,
     load_kernel_table,
     require_alias_free,
 )
-from .errors import ConfigError
-from .estimator import EstimatorConfig, choose_levels
+from .errors import ConfigError, require_int
+from .estimator import EstimatorConfig, plan
 from .fourier import FourierSeries
 from .noise import DENSE_EIGEN_LIMIT, NoiseModel
 from .riskbench import BesovBall, make_test_function
@@ -61,8 +62,9 @@ def _check_keys(mapping: dict, allowed: set, section: str):
         raise ConfigError(f"unknown keys in '{section}': {sorted(extra)}")
 
 
-# Root keys: the required ones with the type each is read as, then the optional sections.
-_REQUIRED = {"experiment": str, "seed": int, "output_dir": str,
+# Root keys: the required ones with the reader of each, then the optional sections.
+_REQUIRED = {"experiment": str, "seed": functools.partial(require_int, name="seed"),
+             "output_dir": str,
              "design": dict, "noise": dict, "kernel": dict}
 _OPTIONAL = ("truth", "estimator", "bench", "eigencheck", "characterize")
 
@@ -148,30 +150,28 @@ def validate_config(cfg: RunConfig):
         if truth is not None:
             require_alias_free(truth, built)
         if est.level_override is not None:
-            choose_levels(epsilon_n(built)[1], est, built.N)  # raises above the band
+            plan(built, est)  # raises above the band
     if cfg.eigencheck is not None:
         build_eigencheck(cfg)
     if cfg.characterize is not None:
         characterize_range(cfg, designs[0])
 
 
-def _noise_model(kind, d: float, scale: float) -> NoiseModel:
-    """The noise law of a channel with memory exponent d (fGn: Hurst index d + 1/2)."""
-    if kind == "white" and d != 0.0:
-        raise ConfigError("noise.kind=white requires all d_l = 0 (white noise has d = 0)")
-    if kind == "fgn":
-        return NoiseModel.fgn(d + 0.5, scale)
-    return NoiseModel(kind, d, scale)  # NoiseModel rejects any other kind
-
-
-def _noise_model_from(spec: dict) -> NoiseModel:
-    _check_keys(spec, {"kind", "d", "hurst", "scale"}, "noise model")
-    kind = spec.get("kind")
+def _noise_model(spec: dict, section: str) -> NoiseModel:
+    """The noise law of a spec {kind, d, scale}: farima and fgn need d (fGn:
+    Hurst index d + 1/2, or ``hurst`` in place of d), white takes d = 0."""
+    _check_keys(spec, {"kind", "d", "hurst", "scale"}, section)
+    kind = _require(spec, "kind", section)
     scale = float(spec.get("scale", 1.0))
-    if kind == "fgn" and "hurst" in spec:
+    if "hurst" in spec:
+        if kind != "fgn":
+            raise ConfigError(f"{section}: hurst is the fgn parameter, not read for kind {kind!r}")
+        if "d" in spec:
+            raise ConfigError(f"{section}: give d or hurst, not both (hurst = d + 1/2)")
         return NoiseModel.fgn(float(spec["hurst"]), scale)
     if kind in ("farima", "fgn"):
-        return _noise_model(kind, float(_require(spec, "d", "noise model")), scale)
+        d = float(_require(spec, "d", section))
+        return NoiseModel.fgn(d + 0.5, scale) if kind == "fgn" else NoiseModel(kind, d, scale)
     return NoiseModel(kind, float(spec.get("d", 0.0)), scale)  # rejects white with d > 0
 
 
@@ -191,7 +191,7 @@ def _split_n(cfg: RunConfig, n: int) -> tuple[int, int]:
         return 2 ** (k - exp_n), 2 ** exp_n
     if m_rule != "fixed":
         raise ConfigError("design.m_rule must be 'power' or 'fixed'")
-    M = int(_require(cfg.design, "M", "design"))
+    M = require_int(_require(cfg.design, "M", "design"), "design.M")
     if M < 1:
         raise ConfigError("design.M must be >= 1")
     if n % M:
@@ -204,7 +204,7 @@ def _split_n(cfg: RunConfig, n: int) -> tuple[int, int]:
 
 def build_design(cfg: RunConfig) -> ChannelDesign:
     """The channel design at the config's own sample count ``design.n``."""
-    return design_for_n(cfg, int(_require(cfg.design, "n", "design")))
+    return design_for_n(cfg, require_int(_require(cfg.design, "n", "design"), "design.n"))
 
 
 def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
@@ -249,9 +249,9 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
     else:
         raise ConfigError("design.d_rule.kind must be constant, linear or explicit")
 
-    noise_kind = _require(cfg.noise, "kind", "noise")
-    scale = float(cfg.noise.get("scale", 1.0))
-    models = tuple(_noise_model(noise_kind, dl, scale) for dl in d)
+    if cfg.noise.get("kind") == "white" and any(d):
+        raise ConfigError("noise.kind=white requires all d_l = 0 (white noise has d = 0)")
+    models = tuple(_noise_model({**cfg.noise, "d": dl}, "noise") for dl in d)
     return ChannelDesign(u, d, N, models)
 
 
@@ -282,9 +282,13 @@ def build_truth(cfg: RunConfig) -> FourierSeries:
         raise ConfigError("this command requires a 'truth' section")
     _check_keys(cfg.truth, {"kind", "band", "amplitude", "params"}, "truth")
     params = dict(cfg.truth.get("params") or {})
+    if "amplitude" in cfg.truth and "amplitude" in params:
+        raise ConfigError("truth.amplitude and truth.params.amplitude both set the amplitude; "
+                          "give one")
     params.setdefault("amplitude", float(cfg.truth.get("amplitude", 1.0)))
     return make_test_function(_require(cfg.truth, "kind", "truth"),
-                              int(_require(cfg.truth, "band", "truth")), params)
+                              require_int(_require(cfg.truth, "band", "truth"), "truth.band"),
+                              params)
 
 
 def build_estimator_config(cfg: RunConfig) -> EstimatorConfig:
@@ -294,7 +298,8 @@ def build_estimator_config(cfg: RunConfig) -> EstimatorConfig:
                       "denom_tol", "level_override"}, "estimator")
     knobs = {key: float(value) for key, value in est.items() if key != "level_override"}
     if est.get("level_override") is not None:  # EstimatorConfig unpacks (j0, J)
-        knobs["level_override"] = tuple(int(j) for j in est["level_override"])
+        knobs["level_override"] = tuple(require_int(j, "estimator.level_override entry")
+                                        for j in est["level_override"])
     return EstimatorConfig(**knobs)
 
 
@@ -303,10 +308,10 @@ def build_bench(cfg: RunConfig) -> tuple[list[int], int, BesovBall | None]:
     if cfg.bench is None:
         raise ConfigError("bench command requires a 'bench' section")
     _check_keys(cfg.bench, {"n_grid", "reps", "ball"}, "bench")
-    n_grid = [int(n) for n in _require(cfg.bench, "n_grid", "bench")]
+    n_grid = [require_int(n, "bench.n_grid entry") for n in _require(cfg.bench, "n_grid", "bench")]
     if len(n_grid) < 1:
         raise ConfigError("bench.n_grid must be nonempty")
-    reps = int(cfg.bench.get("reps", 100))
+    reps = require_int(cfg.bench.get("reps", 100), "bench.reps")
     if reps < 30:
         raise ConfigError("bench.reps must be >= 30")
     return n_grid, reps, build_ball(cfg) if cfg.bench.get("ball") else None
@@ -332,9 +337,10 @@ def build_eigencheck(cfg: RunConfig) -> tuple[list[NoiseModel], list[int]]:
     if cfg.eigencheck is None:
         raise ConfigError("this command requires an 'eigencheck' section")
     _check_keys(cfg.eigencheck, {"models", "n_list"}, "eigencheck")
-    models = [_noise_model_from(dict(spec))
+    models = [_noise_model(dict(spec), "noise model")
               for spec in _require(cfg.eigencheck, "models", "eigencheck")]
-    n_list = sorted(int(n) for n in _require(cfg.eigencheck, "n_list", "eigencheck"))
+    n_list = sorted(require_int(n, "eigencheck.n_list entry")
+                    for n in _require(cfg.eigencheck, "n_list", "eigencheck"))
     if any(n > DENSE_EIGEN_LIMIT for n in n_list):
         raise ConfigError(f"eigencheck.n_list entries must be <= {DENSE_EIGEN_LIMIT}")
     if any(n < 2 for n in n_list):
@@ -345,9 +351,17 @@ def build_eigencheck(cfg: RunConfig) -> tuple[list[NoiseModel], list[int]]:
 
 
 def characterize_range(cfg: RunConfig, design: ChannelDesign) -> range:
-    """The frequencies m_min..m_max that ``characterize`` fits on a design."""
+    """The frequencies m_min..m_max that ``characterize`` fits on a design:
+    within the alias-free band |m| <= N/2 - 1, and passing the fit's own rule
+    (``channels.fit_frequencies``)."""
     section = cfg.characterize or {}
     _check_keys(section, {"m_min", "m_max"}, "characterize")
-    m_min = int(section.get("m_min", 4))
-    m_max = int(section.get("m_max", min(64, design.N // 2 - 1)))
-    return range(m_min, m_max + 1)
+    band = design.N // 2 - 1
+    m_min = require_int(section.get("m_min", 4), "characterize.m_min")
+    m_max = require_int(section.get("m_max", min(64, band)), "characterize.m_max")
+    if not (-band <= m_min and m_max <= band):
+        raise ConfigError(f"characterize range {m_min}..{m_max} leaves the alias-free band "
+                          f"|m| <= N/2 - 1 = {band}")
+    m_range = range(m_min, m_max + 1)
+    fit_frequencies(m_range)
+    return m_range

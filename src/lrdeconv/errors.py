@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the integer check
+that config values and parameters go through.
 
 The CLI maps these onto exit codes: ConfigError -> 1, NumericError -> 2,
 and I/O failures (OSError) -> 3.
 """
+
+import numbers
 
 
 class LrdeconvError(Exception):
@@ -31,3 +34,14 @@ class IllPosedFrequencyError(NumericError):
 
 class DegenerateFitError(NumericError):
     """A regression/fit had no usable signal (all zero, no spread, ...)."""
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an int when it is an integral number; otherwise a
+    ConfigError naming ``name``.  65536 and 65536.0 pass; 65536.7, a bool
+    and a string do not, so no value is truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
     "BlockPartition",
     "ThresholdDecision",
     "EstimateResult",
+    "Plan",
+    "plan",
     "fourier_deconvolve",
     "choose_levels",
     "threshold_value",
@@ -104,14 +106,22 @@ class ThresholdDecision:
     kept: bool
 
 
-@dataclass
-class EstimateDiagnostics:
-    ill_posed: list = field(default_factory=list)
-    epsilon_n: float = 1.0
-    n_star: float = 0.0
-    j0: int = 0
-    J: int = 0
-    warnings: list = field(default_factory=list)
+@dataclass(frozen=True)
+class Plan:
+    """What a design and the estimator settings fix before any data (``band``: the
+    largest |m| the analysis reads); ``estimate`` fills in ``ill_posed``."""
+
+    n: int
+    M: int
+    N: int
+    epsilon_n: float
+    n_star: float
+    j0: int
+    J: int
+    band: int
+    thresholds: bool
+    warnings: tuple
+    ill_posed: list | None = None
 
 
 @dataclass
@@ -119,7 +129,7 @@ class EstimateResult:
     grid: np.ndarray
     coeffs: WaveletCoefficients
     decisions: list
-    diagnostics: EstimateDiagnostics
+    diagnostics: Plan
 
 
 @functools.lru_cache(maxsize=16)
@@ -210,22 +220,21 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def choose_levels(n_star: float, config: EstimatorConfig,
-                  N: int | None = None) -> tuple[int, int, list]:
+def choose_levels(n_star: float, config: EstimatorConfig, N: int) -> tuple[int, int, list]:
     """Coarsest/finest levels (j0, J) from n*; J is exclusive.
 
-    ``config.level_override`` wins when set; with N given, an override whose
-    J exceeds log2 N - 1 raises ConfigError, since the basis at such a level
-    reads frequencies above the per-channel band N/2 - 1.
+    ``config.level_override`` wins when set; an override whose J exceeds
+    log2 N - 1 raises ConfigError, since the basis at such a level reads
+    frequencies above the per-channel band N/2 - 1.
     Regular regime: j0 = round(log2 ln n*), J = floor(log2 (n*)^(1/(2 nu + 1))).
     Super-smooth: 2^j0 = (3/8 pi)(ln n* / (2 alpha1))^(1/beta) rounded to the
     nearest level and J = j0 (linear estimator only).  Levels are clamped so
     every needed frequency stays below the per-channel Nyquist band.
     """
-    j_cap = None if N is None else int(math.log2(N)) - 1
+    j_cap = int(math.log2(N)) - 1
     if config.level_override is not None:
         j0, J = config.level_override
-        if j_cap is not None and J > j_cap:
+        if J > j_cap:
             raise ConfigError(
                 f"level_override J = {J} exceeds log2 N - 1 = {j_cap} at N = {N}: "
                 f"the basis would need frequencies above the band N/2 - 1 = {N // 2 - 1}"
@@ -247,13 +256,23 @@ def choose_levels(n_star: float, config: EstimatorConfig,
     else:
         j0 = _round_half_up(math.log2(log_ns))
         J = int(math.floor(math.log2(n_star) / (2.0 * config.nu + 1.0) + 1e-12))
-    if j_cap is not None and J > j_cap:
+    if J > j_cap:
         warnings.append(f"J clamped from {J} to {j_cap} by the N = {N} frequency band")
         J = j_cap
     if j0 > J:
         warnings.append(f"j0 = {j0} exceeds J = {J}; clamped (estimator is linear)")
         j0 = J
     return j0, J, warnings
+
+
+def plan(design: ChannelDesign, config: EstimatorConfig) -> Plan:
+    """A design's plan, with no kernel evaluated and no noise drawn; the estimate
+    thresholds in the regular regime when J > j0, else it is linear at j0."""
+    eps, n_star = epsilon_n(design)
+    j0, J, warnings = choose_levels(n_star, config, design.N)
+    return Plan(n=design.n, M=design.M, N=design.N, epsilon_n=eps, n_star=n_star,
+                j0=j0, J=J, band=needed_band(MeyerSpec(j0, J, config.aux_poly)),
+                thresholds=not config.supersmooth and J > j0, warnings=tuple(warnings))
 
 
 def threshold_value(j: int, n_star: float, config: EstimatorConfig) -> float:
@@ -298,22 +317,17 @@ def block_threshold(coeffs_hat: WaveletCoefficients, n: int, n_star: float,
 
 def estimate(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
              config: EstimatorConfig) -> EstimateResult:
-    """Full pipeline: deconvolve, analyze, threshold (regular regime), synthesize."""
-    eps, n_star = epsilon_n(design)
-    diag = EstimateDiagnostics(epsilon_n=eps, n_star=n_star)
-    j0, J, diag.warnings = choose_levels(n_star, config, N=design.N)
-    diag.j0, diag.J = j0, J
-
-    spec = MeyerSpec(j0, J, config.aux_poly)
-    f_hat, diag.ill_posed = fourier_deconvolve(y, design, kernel, config.denom_tol,
-                                               band=needed_band(spec))
+    """Full pipeline on the design's plan: deconvolve, analyze, threshold, synthesize."""
+    p = plan(design, config)
+    spec = MeyerSpec(p.j0, p.J, config.aux_poly)
+    f_hat, ill_posed = fourier_deconvolve(y, design, kernel, config.denom_tol, band=p.band)
     coeffs = analyze(f_hat, spec)
 
-    if config.supersmooth or J == j0:
+    if not p.thresholds:
         thresholded, decisions = coeffs, []
     else:
-        thresholded, decisions = block_threshold(coeffs, design.n, n_star, config)
+        thresholded, decisions = block_threshold(coeffs, design.n, p.n_star, config)
 
     series = synthesize_series(thresholded, spec)
     grid = coeffs_to_grid(series, design.N).real
-    return EstimateResult(grid, thresholded, decisions, diag)
+    return EstimateResult(grid, thresholded, decisions, replace(p, ill_posed=ill_posed))

@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import BlurKernel, ChannelDesign, epsilon_n, simulate_observations
-from .errors import ConfigError, DegenerateFitError, NumericError
-from .estimator import EstimatorConfig, estimate
+from .channels import BlurKernel, ChannelDesign, simulate_observations
+from .errors import ConfigError, DegenerateFitError, NumericError, require_int
+from .estimator import EstimatorConfig, estimate, plan
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import WaveletCoefficients
 
@@ -136,7 +136,7 @@ def make_test_function(name: str, band: int, params: dict | None = None) -> Four
     m = np.arange(-band, band + 1)
 
     if name == "smooth_sine":
-        freq = int(params.pop("freq", 3))
+        freq = require_int(params.pop("freq", 3), "smooth_sine freq")
         amp = float(params.pop("amplitude", 1.0))
         mean = float(params.pop("mean", 0.0))
         if freq > band:
@@ -224,7 +224,7 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
         if design.n != int(n):
             raise ConfigError(f"design for n={n} has n={design.n}")
         truth_grid = coeffs_to_grid(f, design.N).real
-        _, n_star = epsilon_n(design)
+        n_star = plan(design, config).n_star
 
         def one_rep(rep: int) -> float:
             seed = np.random.SeedSequence(master_seed, spawn_key=(int(n), rep))

@@ -345,6 +345,62 @@ class TestCliValidation:
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("config, key, bad", [
+        ("boxcar-regular", "seed", 1.5),
+        ("boxcar-regular", "seed", True),
+        ("boxcar-regular", "design.n", 65536.7),
+        ("boxcar-regular", "design.M", 64.5),
+        ("boxcar-regular", "bench.n_grid", [16384.5, 32768]),
+        ("boxcar-regular", "bench.reps", 30.9),
+        ("boxcar-regular", "truth.band", 1.9),
+        ("boxcar-regular", "estimator.level_override", [2, 3.5]),
+        ("boxcar-regular", "eigencheck.n_list", [64, 128.5]),
+        ("boxcar-regular", "characterize.m_min", 8.5),
+        ("boxcar-regular", "characterize.m_max", 64.5),
+        ("heat-supersmooth-d0", "truth.params.freq", 1.5),
+    ])
+    def test_integer_keys_are_checked_not_truncated(self, tmp_path, capsys, config, key, bad):
+        # an integral float loads as its integer; any other value exits 1 naming the key
+        raw = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+        if key == "design.M":
+            raw["design"].update(m_rule="fixed", M=64)
+        if key == "estimator.level_override":
+            raw["estimator"]["level_override"] = [2, 3]
+        *sections, name = key.split(".")
+        node = raw
+        for section in sections:
+            node = node[section]
+        good = [float(x) for x in node[name]] if isinstance(bad, list) else float(node[name])
+        for value, code in ((good, 0), (bad, 1)):
+            node[name] = value
+            path = tmp_path / "cfg.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            assert main(["simulate", "--config", str(path), "--dry-run"]) == code
+            err = capsys.readouterr().err
+            if code:
+                first = next(x for x in bad if x != int(x)) if isinstance(bad, list) else bad
+                label = {"truth.params.freq": "smooth_sine freq"}.get(key, key)
+                label += " entry" if isinstance(bad, list) else ""
+                assert err == f"config error: {label} must be an integer, got {first!r}\n"
+
+    def test_two_amplitude_keys_exit_1_at_load(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("params: {{m0: 3.0, decay: 1.5}}",
+                                   "params: {{m0: 3.0, decay: 1.5, amplitude: 3.0}}")
+        path, out = write_config(tmp_path, text)
+        for command in COMMANDS:
+            assert main([command, "--config", str(path), "--dry-run"]) == 1
+            assert capsys.readouterr().err == (
+                "config error: truth.amplitude and truth.params.amplitude both set the "
+                "amplitude; give one\n")
+        # either key alone sets it, to the same truth
+        inner, _ = write_config(tmp_path, text.replace("  amplitude: 1.0\n", ""), name="in.yaml")
+        outer, _ = write_config(tmp_path, BASE_CONFIG.replace("amplitude: 1.0", "amplitude: 3.0"),
+                                name="out.yaml")
+        values = [build_truth(load_config(path)).values for path in (inner, outer)]
+        assert values[0].tobytes() == values[1].tobytes()
+        base = build_truth(load_config(write_config(tmp_path, BASE_CONFIG, name="base.yaml")[0]))
+        assert np.abs(values[0]).max() == pytest.approx(3.0 * np.abs(base.values).max())
+
     def test_truth_band_above_a_design_band_exits_1_at_load(self, tmp_path, capsys):
         # design.n = 65536 has N = 256, so the alias-free band is 127
         text = (CONFIGS / "boxcar-regular.yaml").read_text()
@@ -827,6 +883,26 @@ class TestEigencheckCommand:
             assert captured.err == f"config error: eigencheck.n_list {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param("{{kind: farima, d: 0.1, hurst: 0.9}}",
+                     "noise model: hurst is the fgn parameter, not read for kind 'farima'",
+                     id="farima-with-hurst"),
+        pytest.param("{{kind: white, hurst: 0.9}}",
+                     "noise model: hurst is the fgn parameter, not read for kind 'white'",
+                     id="white-with-hurst"),
+        pytest.param("{{kind: fgn, hurst: 0.6, d: 0.3}}",
+                     "noise model: give d or hurst, not both (hurst = d + 1/2)",
+                     id="fgn-with-hurst-and-d"),
+    ])
+    def test_noise_model_key_the_kind_does_not_read_exits_1_at_load(self, tmp_path, capsys,
+                                                                     spec, message):
+        text = BASE_CONFIG.replace("{{kind: white, scale: 1.0}}", spec)
+        path, out = write_config(tmp_path, text)
+        for args in (["eigencheck"], ["eigencheck", "--dry-run"], ["simulate", "--dry-run"]):
+            assert main([*args, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_white_model_with_memory_exits_1_at_load(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("{{kind: white, scale: 1.0}}",
                                    "{{kind: white, d: 0.25, scale: 1.0}}")
@@ -886,6 +962,33 @@ class TestCharacterizeCommand:
         regime = line.split(",")[4]
         assert regime == "regular"
         assert nu == pytest.approx(2.0, abs=0.35)
+
+    @pytest.mark.parametrize("m_min, m_max", [
+        pytest.param(20, 10, id="reversed"),
+        pytest.param(4, 10, id="seven-points"),
+        pytest.param(10, 17, id="no-octave"),
+        pytest.param(-3, 8, id="seven-points-from-2"),
+        pytest.param(8, 128, id="above-the-band"),
+        pytest.param(-128, 64, id="below-minus-the-band"),
+    ])
+    def test_bad_range_exits_1_at_load(self, tmp_path, capsys, m_min, m_max):
+        # boxcar-regular's design.n = 65536 has N = 256 samples per channel: band 127
+        if max(-m_min, m_max) > 127:
+            message = (f"characterize range {m_min}..{m_max} leaves the alias-free band "
+                       "|m| <= N/2 - 1 = 127")
+        else:  # the rule that characterize_kernel applies
+            message = "m_range must span at least one dyadic octave with m >= 2"
+        text = (CONFIGS / "boxcar-regular.yaml").read_text()
+        assert "  m_min: 8\n  m_max: 64\n" in text
+        path = tmp_path / "range.yaml"
+        path.write_text(text.replace("  m_min: 8\n  m_max: 64\n",
+                                     f"  m_min: {m_min}\n  m_max: {m_max}\n"))
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                             *dry_run])
+                assert (code, *capsys.readouterr()) == (1, "", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_fit_exit_code(self, tmp_path, capsys):
         # heat kernel far from the boundary: every g_m underflows to zero

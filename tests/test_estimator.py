@@ -2,6 +2,7 @@
 thresholding, and the Monte Carlo moment properties of the coefficients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lrdeconv.channels import (
     simulate_observations,
 )
 from lrdeconv.errors import ConfigError
+from lrdeconv import channels, estimator
 from lrdeconv.estimator import (
     EstimatorConfig,
     block_partition,
@@ -24,10 +26,11 @@ from lrdeconv.estimator import (
     choose_levels,
     estimate,
     fourier_deconvolve,
+    plan,
     threshold_value,
 )
 from lrdeconv.fourier import FourierSeries, coeffs_to_grid
-from lrdeconv.meyer import MeyerSpec, WaveletCoefficients, analyze
+from lrdeconv.meyer import MeyerSpec, WaveletCoefficients, analyze, needed_band
 from lrdeconv.noise import NoiseModel
 from lrdeconv.riskbench import make_test_function
 
@@ -86,19 +89,19 @@ def _resonant(design, band):
 
 class TestChooseLevels:
     def test_regular_examples(self):
-        j0, J, _ = choose_levels(2.0 ** 30, EstimatorConfig(nu=1.0))
+        j0, J, _ = choose_levels(2.0 ** 30, EstimatorConfig(nu=1.0), N=2 ** 15)
         assert J == 10
-        j0, J, _ = choose_levels(2.0 ** 30, EstimatorConfig(nu=2.0))
+        j0, J, _ = choose_levels(2.0 ** 30, EstimatorConfig(nu=2.0), N=2 ** 15)
         assert J == 6
 
     def test_regular_j0(self):
         n_star = math.exp(8.0)  # ln n* = 8 -> j0 = 3
-        j0, _, _ = choose_levels(n_star, EstimatorConfig(nu=0.5))
+        j0, _, _ = choose_levels(n_star, EstimatorConfig(nu=0.5), N=2 ** 12)
         assert j0 == 3
 
     def test_supersmooth_degenerate(self):
         cfg = EstimatorConfig(alpha1=1.0, beta=2.0)
-        j0, J, warns = choose_levels(math.exp(32.0), cfg)
+        j0, J, warns = choose_levels(math.exp(32.0), cfg, N=2 ** 12)
         assert (j0, J) == (0, 0)
         assert any("clamped" in w for w in warns)
 
@@ -108,11 +111,11 @@ class TestChooseLevels:
 
     def test_too_small(self):
         with pytest.raises(ConfigError):
-            choose_levels(2.0, EstimatorConfig())
+            choose_levels(2.0, EstimatorConfig(), N=2 ** 12)
 
     def test_override_wins_and_is_capped_by_the_band(self):
         cfg = EstimatorConfig(nu=2.0, level_override=(3, 7))
-        assert choose_levels(2.0, cfg) == (3, 7, [])
+        assert choose_levels(2.0, cfg, N=256) == (3, 7, [])
         assert choose_levels(2.0 ** 20, cfg, N=256) == (3, 7, [])
         with pytest.raises(ConfigError, match="level_override"):
             choose_levels(2.0 ** 20, cfg, N=128)
@@ -143,6 +146,50 @@ class TestChooseLevels:
             return
         diag = estimate(y, design, BlurKernel("heat"), cfg).diagnostics
         assert (diag.j0, diag.J) == expected
+
+
+class TestPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 9),
+        M=st.integers(1, 4),
+        d=st.floats(0.0, 0.49),
+        nu=st.floats(0.25, 3.0),
+        alpha1=st.sampled_from([0.0, 0.01, 0.3, 2.0]),
+        beta=st.floats(0.5, 3.0),
+        override=st.none() | st.tuples(st.integers(0, 10), st.integers(0, 10)).map(
+            lambda p: (min(p), max(p))),
+    )
+    def test_estimate_returns_its_plan(self, k, M, d, nu, alpha1, beta, override):
+        N = 2 ** k
+        model = NoiseModel.farima(d) if d > 0 else NoiseModel.white()
+        design = ChannelDesign((0.0,) * M, (d,) * M, N, (model,) * M)
+        cfg = EstimatorConfig(nu=nu, alpha1=alpha1, beta=beta, level_override=override)
+        try:
+            p = plan(design, cfg)
+        except ConfigError:
+            return  # an override above the band or n* <= e: estimate raises too
+        assert (p.n, p.M, p.N) == (design.n, M, N)
+        assert (p.epsilon_n, p.n_star) == epsilon_n(design)
+        assert (p.j0, p.J, list(p.warnings)) == choose_levels(p.n_star, cfg, N)
+        assert p.band == needed_band(MeyerSpec(p.j0, p.J))
+        assert p.thresholds == (alpha1 == 0 and p.J > p.j0)
+        assert p.ill_posed is None
+        y = np.random.default_rng(k).normal(size=(M, N))
+        result = estimate(y, design, BlurKernel("heat"), cfg)
+        assert replace(result.diagnostics, ill_posed=None) == p
+        assert isinstance(result.diagnostics.ill_posed, list)
+        assert bool(result.decisions) == p.thresholds
+
+    def test_plan_evaluates_no_kernel_and_draws_no_noise(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("plan called a kernel or a sampler")
+
+        for module, name in ((estimator, "kernel_fourier"), (channels, "kernel_fourier"),
+                             (channels, "sample_paths"), (estimator, "fourier_deconvolve")):
+            monkeypatch.setattr(module, name, forbidden)
+        p = plan(boxcar_linear_design(2 ** 14), EstimatorConfig(nu=0.5))
+        assert (p.j0, p.J, p.thresholds) == (3, 5, True)
 
 
 class TestThresholdValue:
