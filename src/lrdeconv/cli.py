@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .estimator import block_partition, estimate, plan, threshold_value
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, analyze, needed_band
 from .noise import toeplitz_eigen_bounds
-from .riskbench import besov_seminorm, fit_rate, mc_risk, theoretical_rate
+from .riskbench import RiskReport, besov_seminorm, fit_rate, mc_risk, theoretical_rate
 
 FMT = "%.17g"
 
@@ -206,8 +207,15 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     truth = build_truth(cfg)
     fc = None if ball is None else theoretical_rate(
         ball, est_cfg.nu, est_cfg.lambda1, est_cfg.alpha1, est_cfg.beta)
-    report = mc_risk(truth, designs.__getitem__, kernel, est_cfg, n_grid, reps, seed,
-                     threads=args.threads)
+    # one mc_risk call per grid point, for a progress line each; the replicate
+    # seeds (seed, (n, rep)) make the rows those of one call over the grid
+    report = RiskReport()
+    for p in plans:
+        start = time.perf_counter()
+        report.rows += mc_risk(truth, designs.__getitem__, kernel, est_cfg, [p.n], reps, seed,
+                               threads=args.threads).rows
+        print(f"bench: n={p.n} M={p.M} N={p.N} j0={p.j0} J={p.J} "
+              f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
     # the rate is a power of ln n* in the super-smooth regime and of n* otherwise
     regressor = "log_log_nstar" if est_cfg.supersmooth else "log_nstar"
     try:

@@ -134,7 +134,9 @@ def validate_config(cfg: RunConfig):
     and converts its values; what it builds holds the model's rules.  So
     this checks the seed, builds the design at ``design.n`` and at every
     ``bench.n_grid`` point and each object the commands build, and checks
-    the truth's band and the level override against every design built.
+    the truth's band against every design built and, when the config has an
+    ``estimator`` section, the estimation plan of each (a config without one
+    may serve ``eigencheck`` or ``characterize`` alone).
     The kernel table is not read here: the commands read it, and a missing
     one is an I/O failure.
     """
@@ -149,8 +151,8 @@ def validate_config(cfg: RunConfig):
     for built in designs:
         if truth is not None:
             require_alias_free(truth, built)
-        if est.level_override is not None:
-            plan(built, est)  # raises above the band
+        if cfg.estimator:  # raises for n* <= e or an override above the band
+            plan(built, est)
     if cfg.eigencheck is not None:
         build_eigencheck(cfg)
     if cfg.characterize is not None:

@@ -92,10 +92,6 @@ class BlockPartition:
     block_len: int
     blocks: tuple  # ((start, stop), ...)
 
-    @property
-    def r_indices(self) -> range:
-        return range(1, len(self.blocks) + 1)
-
 
 @dataclass(frozen=True)
 class ThresholdDecision:
@@ -283,12 +279,19 @@ def threshold_value(j: int, n_star: float, config: EstimatorConfig) -> float:
     return config.mu ** 2 / n_star * math.log(n_star) * 2.0 ** (2.0 * config.nu * j) * j_pow
 
 
+def _block_len(n: int) -> int:
+    """The block length ceil(ln n) of the keep-or-kill rule."""
+    if n < 3:
+        raise ConfigError(f"block thresholding needs n >= 3, got {n}")
+    return int(math.ceil(math.log(n)))
+
+
 def block_partition(j: int, n: int) -> BlockPartition:
     """Blocks of length ceil(ln n); the last block keeps the remainder."""
-    if j < 0 or n < 3:
-        raise ConfigError("need j >= 0 and n >= 3")
+    if j < 0:
+        raise ConfigError(f"need level j >= 0, got {j}")
     size = 2 ** j
-    length = int(math.ceil(math.log(n)))
+    length = _block_len(n)
     starts = range(0, size, length)
     return BlockPartition(j, length, tuple((s, min(s + length, size)) for s in starts))
 
@@ -298,20 +301,27 @@ def block_threshold(coeffs_hat: WaveletCoefficients, n: int, n_star: float,
     """Keep a detail block iff its energy reaches the level threshold.
 
     Scaling coefficients pass through untouched; decisions are returned for
-    audit (one per block, kept == energy >= threshold).
+    audit (one per block, kept == energy >= threshold).  The blocks are those
+    of ``block_partition``; each level's full blocks are summed as the rows
+    of one reshape, which numpy reduces with the same pairwise routine as a
+    sum over one block's slice, so the energies are the per-block sums bit
+    for bit.
     """
     out = coeffs_hat.copy()
+    length = _block_len(n)
     decisions: list[ThresholdDecision] = []
     for j in range(coeffs_hat.j0, coeffs_hat.J):
         lam = threshold_value(j, n_star, config)
-        part = block_partition(j, n)
         vec = out.detail[j]
-        for r, (start, stop) in zip(part.r_indices, part.blocks):
-            energy = float(np.sum(np.abs(vec[start:stop]) ** 2))
-            kept = energy >= lam
-            if not kept:
-                vec[start:stop] = 0.0
-            decisions.append(ThresholdDecision(j, r, energy, lam, kept))
+        power = np.abs(vec) ** 2
+        full = vec.size - vec.size % length
+        energies = power[:full].reshape(-1, length).sum(axis=1)
+        if full < vec.size:  # the short last block
+            energies = np.append(energies, np.sum(power[full:]))
+        kept = energies >= lam
+        vec[~np.repeat(kept, length)[:vec.size]] = 0.0
+        decisions += [ThresholdDecision(j, r, energy, lam, keep) for r, (energy, keep)
+                      in enumerate(zip(energies.tolist(), kept.tolist()), start=1)]
     return out, decisions
 
 

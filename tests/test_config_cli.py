@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,8 +28,8 @@ from lrdeconv.config import (
     serialize_config,
 )
 from lrdeconv.errors import ConfigError
-from lrdeconv.estimator import EstimatorConfig
-from lrdeconv.riskbench import BesovBall
+from lrdeconv.estimator import EstimatorConfig, plan
+from lrdeconv.riskbench import BesovBall, RiskReport, mc_risk
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -125,6 +126,32 @@ estimator:
   level_override: [3, 11]
 """
 
+
+# M = 2 channels of N = 4 with d = 0.49: n* = 8 * 4^(-0.98) = 2.06 <= e, so no
+# level choice exists
+SMALL_NSTAR_CONFIG = """\
+experiment: small-nstar
+seed: 3
+output_dir: {out}
+design:
+  n: 8
+  m_rule: fixed
+  M: 2
+  d_rule: {{kind: constant, value: 0.49}}
+noise:
+  kind: farima
+kernel:
+  kind: heat
+truth:
+  kind: smooth_sine
+  band: 1
+  params: {{freq: 1}}
+estimator:
+  nu: 1.0
+eigencheck:
+  models: [{{kind: farima, d: 0.49}}]
+  n_list: [16, 32]
+"""
 
 # What every subcommand's --dry-run prints on each shipped config: loading
 # checks every section, so a stricter load must still accept all of them.
@@ -415,6 +442,25 @@ class TestCliValidation:
                 assert (code, out) == (1, "")
                 assert err == "config error: truth band 200 exceeds alias-free band 127\n"
         assert not (tmp_path / "out").exists()
+
+    def test_estimation_plan_is_checked_at_load(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, SMALL_NSTAR_CONFIG)
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                assert main([command, "--config", str(path), *dry_run]) == 1
+                std, err = capsys.readouterr()
+                assert std == ""
+                assert err.startswith("config error: n_star must exceed e for a level "
+                                      "choice, got 2.05")
+        assert not out.exists()
+        # without an estimator section the design still serves eigencheck;
+        # estimate, which needs levels, fails when it runs
+        path, out = write_config(tmp_path, SMALL_NSTAR_CONFIG.replace(
+            "estimator:\n  nu: 1.0\n", ""), name="no-estimator.yaml")
+        assert main(["eigencheck", "--config", str(path)]) == 0
+        assert (out / "eigen_slopes.csv").exists()
+        assert main(["estimate", "--config", str(path), "--dry-run"]) == 1
+        assert "n_star must exceed e" in capsys.readouterr().err
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "utf16.yaml"
@@ -800,6 +846,35 @@ class TestBenchCommand:
             ["j0 = 3 exceeds J = 2; clamped (estimator is linear)"]]
         assert [line.split(" j0=")[0] for line in dry_lines] == [
             f"n={p['n']} M={p['M']} N={p['N']} n*={p['n_star']:.6g}" for p in plan]
+
+    def test_one_progress_line_per_grid_point_and_the_rows_of_one_call(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        path, out = write_config(tmp_path, BASE_CONFIG)
+        assert main(["bench", "--config", str(path)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        cfg = load_config(path)
+        n_grid, reps, _ = build_bench(cfg)
+        est = build_estimator_config(cfg)
+        plans = [plan(design_for_n(cfg, n), est) for n in n_grid]
+        assert len(lines) == len(plans) == 4
+        for line, p in zip(lines, plans):
+            assert re.fullmatch(rf"bench: n={p.n} M={p.M} N={p.N} j0={p.j0} J={p.J} "
+                                r"\d+\.\d\d s", line)
+        # the same command with the rows of a single mc_risk call over the grid
+        rows = {}
+
+        def rows_of_one_call(truth, design_for_n, kernel, config, grid, *args, **kwargs):
+            if not rows:
+                report = mc_risk(truth, design_for_n, kernel, config, n_grid, *args, **kwargs)
+                rows.update((row[0], row) for row in report.rows)
+            return RiskReport([rows[n] for n in grid])
+
+        monkeypatch.setattr("lrdeconv.cli.mc_risk", rows_of_one_call)
+        single = tmp_path / "single"
+        assert main(["bench", "--config", str(path), "--out", str(single)]) == 0
+        assert sorted(rows) == n_grid
+        for name in ("risk_report.csv", "risk_curve.dat", "risk_meta.json"):
+            assert (out / name).read_bytes() == (single / name).read_bytes()
 
     def test_supersmooth_fit_is_against_log_ln_nstar(self, tmp_path, capsys):
         text = (CONFIGS / "heat-supersmooth-d04.yaml").read_text()

@@ -3,10 +3,11 @@ thresholding, and the Monte Carlo moment properties of the coefficients."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from testkit import boxcar_linear_design
@@ -21,6 +22,7 @@ from lrdeconv.errors import ConfigError
 from lrdeconv import channels, estimator
 from lrdeconv.estimator import (
     EstimatorConfig,
+    ThresholdDecision,
     block_partition,
     block_threshold,
     choose_levels,
@@ -290,6 +292,93 @@ class TestBlockThreshold:
             kept_sets.append({(d.level, d.block) for d in decisions if d.kept})
         for small, large in zip(kept_sets[1:], kept_sets[:-1]):
             assert small <= large
+
+
+def per_block_threshold(coeffs, n, n_star, config):
+    """The keep-or-kill rule as one np.sum per block, the reference for the
+    level-at-once ``block_threshold``."""
+    out = coeffs.copy()
+    length = int(math.ceil(math.log(n)))
+    decisions = []
+    for j in range(coeffs.j0, coeffs.J):
+        lam = estimator.threshold_value(j, n_star, config)
+        vec = out.detail[j]
+        for r, start in enumerate(range(0, 2 ** j, length), start=1):
+            stop = min(start + length, 2 ** j)
+            energy = float(np.sum(np.abs(vec[start:stop]) ** 2))
+            kept = energy >= lam
+            if not kept:
+                vec[start:stop] = 0.0
+            decisions.append(ThresholdDecision(j, r, energy, lam, kept))
+    return out, decisions
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# n with block length ceil(ln n) = L, for L = 2 (n = 3..7) up to 21 (n <= e^21, about 1.3e9)
+block_sizes = st.integers(2, 21).flatmap(
+    lambda L: st.integers(math.floor(math.exp(L - 1)) + 1, math.floor(math.exp(L))))
+
+
+class TestLevelAtOnceThreshold:
+    # levels j0 <= j < J with 2^j below, equal to, a multiple of and not a
+    # multiple of the block length L
+    @settings(max_examples=80, deadline=None)
+    @given(n=block_sizes, j0=st.integers(0, 6), extra=st.integers(1, 7),
+           seed=st.integers(0, 2 ** 32 - 1), log_mu=st.floats(-10.0, 10.0),
+           nu=st.floats(0.0, 2.0), n_star=st.floats(3.0, 1e9), tie=st.booleans())
+    @example(n=2000, j0=0, extra=7, seed=1, log_mu=-2.0, nu=0.5, n_star=1e4, tie=True)  # L = 8
+    @example(n=5_000_000, j0=2, extra=7, seed=2, log_mu=0.0, nu=1.0, n_star=1e6,
+             tie=True)  # L = 16
+    @example(n=50, j0=1, extra=6, seed=3, log_mu=1.0, nu=0.0, n_star=50.0, tie=False)  # L = 4
+    @example(n=4096, j0=3, extra=6, seed=4, log_mu=0.0, nu=0.5, n_star=4096.0,
+             tie=True)  # L = 9
+    def test_matches_the_per_block_sums_bit_for_bit(self, n, j0, extra, seed, log_mu, nu,
+                                                    n_star, tie):
+        rng = np.random.default_rng(seed)
+        coeffs = WaveletCoefficients.zeros(j0, j0 + extra)
+        coeffs.scaling[:] = rng.normal(size=2 ** j0) + 1j * rng.normal(size=2 ** j0)
+        for j in range(j0, j0 + extra):
+            # magnitudes spread over up to 16 decades within 1e-8..1e8, random
+            # phases, a real level now and then and some exact zeros
+            centre, spread = rng.uniform(-8.0, 8.0), rng.uniform(0.0, 8.0)
+            exponent = np.clip(centre + spread * rng.uniform(-1.0, 1.0, 2 ** j), -8.0, 8.0)
+            phase = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 2 * np.pi, 2 ** j)
+            values = 10.0 ** exponent * np.exp(1j * phase)
+            values[rng.random(2 ** j) < 0.05] = 0.0
+            coeffs.detail[j][:] = values
+        before = coeffs.copy()
+        config = EstimatorConfig(mu=10.0 ** log_mu, nu=nu)
+
+        tied_level = tied = None
+        if tie:  # lambda_j of one level is exactly the energy of one of its blocks
+            tied_level = int(rng.integers(j0, j0 + extra))
+            length = int(math.ceil(math.log(n)))
+            start = int(rng.integers(0, 2 ** tied_level)) // length * length
+            tied = float(np.sum(np.abs(coeffs.detail[tied_level][start:start + length]) ** 2))
+
+        def lam(j, n_star, config):
+            return tied if j == tied_level else threshold_value(j, n_star, config)
+
+        with mock.patch.object(estimator, "threshold_value", lam):
+            got, got_decisions = block_threshold(coeffs, n, n_star, config)
+            want, want_decisions = per_block_threshold(coeffs, n, n_star, config)
+
+        assert np.array_equal(bits(coeffs.scaling), bits(before.scaling))
+        for j in range(j0, j0 + extra):
+            assert np.array_equal(bits(coeffs.detail[j]), bits(before.detail[j]))
+            assert np.array_equal(bits(got.detail[j]), bits(want.detail[j]))
+        assert np.array_equal(bits(got.scaling), bits(want.scaling))
+        assert len(got_decisions) == len(want_decisions)
+        for g, w in zip(got_decisions, want_decisions):
+            assert (g.level, g.block, g.kept) == (w.level, w.block, w.kept)
+            assert g.energy.hex() == w.energy.hex() and g.threshold.hex() == w.threshold.hex()
+            assert (type(g.energy), type(g.threshold), type(g.kept)) == (float, float, bool)
+        if tie:
+            assert any(d.energy == d.threshold for d in got_decisions if d.level == tied_level)
+            assert all(d.kept for d in got_decisions if d.energy == d.threshold)
 
 
 class TestEstimatePipeline:
