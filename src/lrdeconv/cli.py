@@ -38,7 +38,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, DegenerateFitError, NumericError
-from .estimator import block_partition, estimate, plan, threshold_value
+from .estimator import block_length, estimate, plan, threshold_value
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, analyze, needed_band
 from .noise import toeplitz_eigen_bounds
@@ -50,8 +50,6 @@ FMT = "%.17g"
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return FMT % float(x)
@@ -153,16 +151,15 @@ def cmd_estimate(cfg: RunConfig, seed: int, out: Path, args) -> int:
     _write_table(out / "fhat_grid.csv", header, ["i", "t", "value"],
                  [(i, i / design.N, v) for i, v in enumerate(result.grid)])
 
-    coeff_rows = []
     co = result.coeffs
-    for k, v in enumerate(co.scaling):
-        coeff_rows.append(("a", co.j0, k, v.real, 0, 1))
-    for j in range(co.j0, co.J):
-        part = block_partition(j, design.n)
-        kept_by_block = {d.block: d.kept for d in result.decisions if d.level == j}
-        for k, v in enumerate(co.detail[j]):
-            r = k // part.block_len + 1
-            coeff_rows.append(("b", j, k, v.real, r, int(kept_by_block.get(r, True))))
+    coeff_rows = [("a", co.j0, k, v.real, 0, 1) for k, v in enumerate(co.scaling)]
+    if co.J > co.j0:  # a linear estimate has no blocks, whatever n is
+        length = block_length(design.n)
+        kept_by_block = {(d.level, d.block): d.kept for d in result.decisions}
+        for j in range(co.j0, co.J):
+            for k, v in enumerate(co.detail[j]):
+                r = k // length + 1
+                coeff_rows.append(("b", j, k, v.real, r, int(kept_by_block.get((j, r), True))))
     _write_table(out / "coefficients.csv", header,
                  ["type", "j", "k", "value", "block", "kept"], coeff_rows)
     _write_table(out / "decisions.csv", header,

@@ -32,7 +32,6 @@ from .meyer import MeyerSpec, WaveletCoefficients, analyze, needed_band, synthes
 
 __all__ = [
     "EstimatorConfig",
-    "BlockPartition",
     "ThresholdDecision",
     "EstimateResult",
     "Plan",
@@ -40,7 +39,7 @@ __all__ = [
     "fourier_deconvolve",
     "choose_levels",
     "threshold_value",
-    "block_partition",
+    "block_length",
     "block_threshold",
     "estimate",
 ]
@@ -82,15 +81,6 @@ class EstimatorConfig:
     @property
     def supersmooth(self) -> bool:
         return self.alpha1 > 0
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Contiguous blocks of length ceil(ln n) covering 0..2^j-1."""
-
-    level: int
-    block_len: int
-    blocks: tuple  # ((start, stop), ...)
 
 
 @dataclass(frozen=True)
@@ -279,21 +269,13 @@ def threshold_value(j: int, n_star: float, config: EstimatorConfig) -> float:
     return config.mu ** 2 / n_star * math.log(n_star) * 2.0 ** (2.0 * config.nu * j) * j_pow
 
 
-def _block_len(n: int) -> int:
-    """The block length ceil(ln n) of the keep-or-kill rule."""
+def block_length(n: int) -> int:
+    """The block length ceil(ln n) of the keep-or-kill rule: block r (from 1)
+    of a level holds coefficients k with k // ceil(ln n) = r - 1, and the last
+    block keeps the remainder."""
     if n < 3:
         raise ConfigError(f"block thresholding needs n >= 3, got {n}")
     return int(math.ceil(math.log(n)))
-
-
-def block_partition(j: int, n: int) -> BlockPartition:
-    """Blocks of length ceil(ln n); the last block keeps the remainder."""
-    if j < 0:
-        raise ConfigError(f"need level j >= 0, got {j}")
-    size = 2 ** j
-    length = _block_len(n)
-    starts = range(0, size, length)
-    return BlockPartition(j, length, tuple((s, min(s + length, size)) for s in starts))
 
 
 def block_threshold(coeffs_hat: WaveletCoefficients, n: int, n_star: float,
@@ -301,14 +283,14 @@ def block_threshold(coeffs_hat: WaveletCoefficients, n: int, n_star: float,
     """Keep a detail block iff its energy reaches the level threshold.
 
     Scaling coefficients pass through untouched; decisions are returned for
-    audit (one per block, kept == energy >= threshold).  The blocks are those
-    of ``block_partition``; each level's full blocks are summed as the rows
-    of one reshape, which numpy reduces with the same pairwise routine as a
-    sum over one block's slice, so the energies are the per-block sums bit
-    for bit.
+    audit (one per block, kept == energy >= threshold).  The blocks have
+    ``block_length(n)`` coefficients; each level's full blocks are summed as
+    the rows of one reshape, which numpy reduces with the same pairwise
+    routine as a sum over one block's slice, so the energies are the
+    per-block sums bit for bit.
     """
     out = coeffs_hat.copy()
-    length = _block_len(n)
+    length = block_length(n)
     decisions: list[ThresholdDecision] = []
     for j in range(coeffs_hat.j0, coeffs_hat.J):
         lam = threshold_value(j, n_star, config)

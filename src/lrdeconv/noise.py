@@ -41,7 +41,7 @@ __all__ = [
 # Embedding spectra below -NEG_TOL * gamma(0) reject the embedding.
 NEG_TOL = 1e-10
 DENSE_EIGEN_LIMIT = 4096
-# Embedding points per block of rows that ``sample_paths`` draws and
+# Embedding points per block of rows that ``_sample_rows`` draws and
 # transforms together: about 3 MB of buffers.
 _BLOCK_POINTS = 2 ** 17
 
@@ -186,31 +186,22 @@ def _embedding_spectra(models: tuple, n_points: int) -> np.ndarray:
     minimal embedding of N + 1 points, and the first N of those points have
     the law N(0, toeplitz(gamma(0..N-1))), so the sampler draws N + 1 and
     keeps N.  The row is real and even, so its spectrum is real and
-    symmetric and the half 0..N holds every value; rows are transformed a
-    block at a time with a real FFT.  Rows are read-only; raises NumericError
-    when an entry of a spectrum lies below -NEG_TOL * gamma(0).
+    symmetric, and the half 0..N that one real FFT gives holds every value.
+    Rows are read-only; raises NumericError when an entry of a spectrum lies
+    below -NEG_TOL * gamma(0).
     """
     m = 2 * n_points
-    block = max(1, _BLOCK_POINTS // m)
-    c = np.empty((min(block, len(models)), m))
     spectra = np.empty((len(models), n_points + 1))
-    for start in range(0, len(models), block):
-        stop = min(start + block, len(models))
-        cb = c[: stop - start]
-        for row, model in zip(cb, models[start:stop]):
-            gamma = autocovariance(model, np.arange(n_points + 1))
-            row[: n_points + 1] = gamma
-            row[n_points + 1 :] = gamma[-2:0:-1]
-        eig = np.fft.rfft(cb, axis=1).real
-        lowest = eig.min(axis=1)
-        for model, low, gamma0 in zip(models[start:stop], lowest, cb[:, 0]):
-            if not low >= -NEG_TOL * gamma0:  # NaN fails too
-                raise NumericError(
-                    f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
-                    f"N = {n_points} has spectrum {low:.3g} < -{NEG_TOL:g} gamma(0); "
-                    "the covariance cannot be sampled exactly"
-                )
-        spectra[start:stop] = eig
+    for row, model in zip(spectra, models):
+        gamma = autocovariance(model, np.arange(n_points + 1))
+        row[:] = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        low = row.min()
+        if not low >= -NEG_TOL * gamma[0]:  # NaN fails too
+            raise NumericError(
+                f"circulant embedding of the {model.kind} (d = {model.d}) covariance at "
+                f"N = {n_points} has spectrum {low:.3g} < -{NEG_TOL:g} gamma(0); "
+                "the covariance cannot be sampled exactly"
+            )
     np.clip(spectra, 0.0, None, out=spectra)
     spectra /= m
     np.sqrt(spectra, out=spectra)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -126,6 +127,28 @@ estimator:
   level_override: [3, 11]
 """
 
+
+# one channel of N = 2, the smallest design, estimated linearly at level 0
+TINY_CONFIG = """\
+experiment: tiny
+seed: 3
+output_dir: {out}
+design:
+  n: 2
+  m_rule: fixed
+  M: 1
+  d_rule: {{kind: constant, value: 0.0}}
+noise:
+  kind: white
+kernel:
+  kind: heat
+truth:
+  kind: bump_mix
+  band: 0
+estimator:
+  nu: 1.0
+  level_override: [0, 0]
+"""
 
 # M = 2 channels of N = 4 with d = 0.49: n* = 8 * 4^(-0.98) = 2.06 <= e, so no
 # level choice exists
@@ -759,6 +782,29 @@ class TestSimulateEstimate:
         assert [r[0] for r in body[:6]] == [
             "key", "epsilon_n", "n_star", "j0", "J", "n_ill_posed"]
         assert body[5] == ["n_ill_posed", "0"]
+        # every detail coefficient names its block of ceil(ln n) = 10 and that
+        # block's decision, and a killed block is zero
+        kept_by_block = {(int(j), int(r)): int(k) for j, r, k in decisions[:, [0, 1, 4]]}
+        rows = [l.split(",") for l in (out / "coefficients.csv").read_text().splitlines()
+                if l.startswith("b,")]
+        assert len(rows) == 2 ** 11 - 2 ** 3
+        length = math.ceil(math.log(16384))
+        for _, j, k, value, block, keep in rows:
+            assert int(block) == int(k) // length + 1
+            assert int(keep) == kept_by_block[int(j), int(block)]
+            if not int(keep):
+                assert float(value) == 0.0
+        assert {(int(r[1]), int(r[4])) for r in rows} == set(kept_by_block)
+
+    def test_linear_estimate_at_n_2_writes_its_coefficients(self, tmp_path):
+        # no detail level, so no block length is needed: ceil(ln n) needs n >= 3
+        path, out = write_config(tmp_path, TINY_CONFIG)
+        for command in ("simulate", "estimate"):
+            assert main([command, "--config", str(path)]) == 0
+        rows = [l.split(",") for l in (out / "coefficients.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert [r[:3] + r[4:] for r in rows] == [
+            ["type", "j", "k", "block", "kept"], ["a", "0", "0", "0", "1"]]
 
     def test_dry_run_prints_plan_without_output(self, tmp_path, capsys):
         path, out = write_config(tmp_path, BASE_CONFIG)

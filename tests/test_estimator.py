@@ -23,7 +23,7 @@ from lrdeconv import channels, estimator
 from lrdeconv.estimator import (
     EstimatorConfig,
     ThresholdDecision,
-    block_partition,
+    block_length,
     block_threshold,
     choose_levels,
     estimate,
@@ -218,27 +218,50 @@ class TestThresholdValue:
             threshold_value(3, 500.0, EstimatorConfig(alpha1=1.0, beta=2.0))
 
 
-class TestBlockPartition:
+def test_block_length_is_ceil_ln_n():
+    assert block_length(int(math.exp(8))) == 8
+    assert block_length(int(math.exp(9.5))) == 10
+    with pytest.raises(ConfigError, match="n >= 3"):
+        block_length(2)
+
+
+def threshold_blocks(j: int, n: int) -> tuple:
+    """The (start, stop) blocks of level j as `block_threshold` forms them:
+    a unit coefficient at k alone gives its block energy 1 and every other
+    block energy 0, so the block it lands in is read off the decisions."""
+    members: dict[int, list[int]] = {}
+    for k in range(2 ** j):
+        coeffs = WaveletCoefficients.zeros(j, j + 1)
+        coeffs.detail[j][k] = 1.0
+        _, decisions = block_threshold(coeffs, n, 1000.0, EstimatorConfig(mu=0.0, nu=2.0))
+        assert [d.block for d in decisions] == list(range(1, len(decisions) + 1))
+        hit = [d.block for d in decisions if d.energy != 0.0]
+        assert len(hit) == 1 and decisions[hit[0] - 1].energy == 1.0
+        members.setdefault(hit[0], []).append(k)
+    assert sorted(members) == list(range(1, len(decisions) + 1))
+    blocks = tuple((ks[0], ks[-1] + 1) for _, ks in sorted(members.items()))
+    assert [list(range(a, b)) for a, b in blocks] == [ks for _, ks in sorted(members.items())]
+    return blocks
+
+
+class TestBlockLayout:
     def test_exact_blocks(self):
-        part = block_partition(5, int(math.exp(8)))  # ceil(ln n) = 8
-        assert part.block_len == 8
-        assert part.blocks == ((0, 8), (8, 16), (16, 24), (24, 32))
+        blocks = threshold_blocks(5, int(math.exp(8)))  # ceil(ln n) = 8
+        assert blocks == ((0, 8), (8, 16), (16, 24), (24, 32))
 
     def test_remainder_block(self):
-        part = block_partition(5, int(math.exp(9.5)))  # ceil(ln n) = 10
-        assert [b - a for a, b in part.blocks] == [10, 10, 10, 2]
+        blocks = threshold_blocks(5, int(math.exp(9.5)))  # ceil(ln n) = 10
+        assert [b - a for a, b in blocks] == [10, 10, 10, 2]
 
     @pytest.mark.parametrize("j", range(0, 11))
     def test_cover_and_disjoint(self, j):
-        part = block_partition(j, 4096)
         covered = []
-        for start, stop in part.blocks:
+        for start, stop in threshold_blocks(j, 4096):
             covered.extend(range(start, stop))
         assert covered == list(range(2 ** j))
 
     def test_single_block(self):
-        part = block_partition(2, 4096)  # 2^j = 4 <= ceil(ln n) = 9
-        assert part.blocks == ((0, 4),)
+        assert threshold_blocks(2, 4096) == ((0, 4),)  # 2^j = 4 <= ceil(ln n) = 9
 
 
 class TestBlockThreshold:
@@ -268,9 +291,8 @@ class TestBlockThreshold:
         n, n_star = 4096, 1000.0
         cfg = EstimatorConfig(mu=1.0, nu=1.0)
         coeffs = WaveletCoefficients.zeros(3, 5)
-        part = block_partition(4, n)
         lam = threshold_value(4, n_star, cfg)
-        start, stop = part.blocks[1]
+        start, stop = 9, 16  # block 2 of level 4 at ceil(ln n) = 9
         coeffs.detail[4][start:stop] = math.sqrt(2 * lam / (stop - start))
         out, decisions = block_threshold(coeffs, n, n_star, cfg)
         kept = [(d.level, d.block) for d in decisions if d.kept]
@@ -496,12 +518,12 @@ class TestCoefficientMoments:
         design, kernel, rows = null_coefficients
         cfg = EstimatorConfig(mu=306.85797397699935, nu=2.0)
         _, n_star = epsilon_n(design)
+        length = math.ceil(math.log(design.n))
         exceed = total = 0
         for j, B in rows.items():
             lam = threshold_value(j, n_star, cfg)
-            part = block_partition(j, design.n)
-            for start, stop in part.blocks:
-                energies = np.sum(B[:, start:stop] ** 2, axis=1)
+            for start in range(0, 2 ** j, length):
+                energies = np.sum(B[:, start:start + length] ** 2, axis=1)
                 exceed += int(np.sum(energies >= lam / 4))
                 total += len(energies)
         assert exceed / total < 0.01
