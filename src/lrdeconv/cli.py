@@ -37,7 +37,7 @@ from .config import (
     design_for_n,
     load_config,
 )
-from .errors import ConfigError, DegenerateFitError, NumericError
+from .errors import ConfigError, DegenerateFitError, NumericError, require_seed
 from .estimator import block_length, estimate, plan, threshold_value
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, analyze, needed_band
@@ -194,11 +194,13 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         plans.append(plan(design, est_cfg))
     if args.dry_run:
         for p in plans:
-            if not p.thresholds:
-                lams = "(linear estimator, no detail levels)"
-            else:
+            if p.thresholds:
                 lams = " ".join(f"lambda_{j}={threshold_value(j, p.n_star, est_cfg):.3e}"
                                 for j in range(p.j0, p.J))
+            elif p.J > p.j0:
+                lams = f"(linear estimator at level {p.J}: levels {p.j0}..{p.J - 1} unthresholded)"
+            else:
+                lams = "(linear estimator, no detail levels)"
             print(f"n={p.n} M={p.M} N={p.N} n*={p.n_star:.6g} j0={p.j0} J={p.J} {lams}")
         return 0
     truth = build_truth(cfg)
@@ -357,8 +359,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error (exit 1), not argparse's 2
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # the subcommand parsers take its class
         prog="lrdeconv",
         description="Multichannel deconvolution with long-range dependent noise",
     )
@@ -376,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.threads is None:
             env = os.environ.get("LRD_DECONV_THREADS", "1")
@@ -387,10 +394,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"LRD_DECONV_THREADS must be an integer, got {env!r}") from None
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        seed = cfg.seed if args.seed is None else require_seed(args.seed, "--seed")
         out = Path(args.out if args.out is not None else cfg.output_dir)
         if not args.dry_run:
             out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg.seed
         return COMMANDS[args.command](cfg, seed, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ violations raise ConfigError with the violated constraint named, and
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from .channels import (
     load_kernel_table,
     require_alias_free,
 )
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_int, require_seed
 from .estimator import EstimatorConfig, plan
 from .fourier import FourierSeries
 from .noise import DENSE_EIGEN_LIMIT, NoiseModel
@@ -63,8 +62,7 @@ def _check_keys(mapping: dict, allowed: set, section: str):
 
 
 # Root keys: the required ones with the reader of each, then the optional sections.
-_REQUIRED = {"experiment": str, "seed": functools.partial(require_int, name="seed"),
-             "output_dir": str,
+_REQUIRED = {"experiment": str, "seed": require_seed, "output_dir": str,
              "design": dict, "noise": dict, "kernel": dict}
 _OPTIONAL = ("truth", "estimator", "bench", "eigencheck", "characterize")
 
@@ -132,7 +130,7 @@ def validate_config(cfg: RunConfig):
 
     Each builder checks the keys of the section it reads, holds its defaults
     and converts its values; what it builds holds the model's rules.  So
-    this checks the seed, builds the design at ``design.n`` and at every
+    this builds the design at ``design.n`` and at every
     ``bench.n_grid`` point and each object the commands build, and checks
     the truth's band against every design built and, when the config has an
     ``estimator`` section, the estimation plan of each (a config without one
@@ -140,8 +138,6 @@ def validate_config(cfg: RunConfig):
     The kernel table is not read here: the commands read it, and a missing
     one is an I/O failure.
     """
-    if cfg.seed < 0 or cfg.seed >= 2 ** 64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
     designs = [build_design(cfg)]
     _kernel_or_table(cfg)
     truth = None if cfg.truth is None else build_truth(cfg)

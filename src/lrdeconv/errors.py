@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer check
-that config values and parameters go through.
+"""Exception hierarchy shared across the package, and the integer checks
+that config values, parameters and seeds go through.
 
 The CLI maps these onto exit codes: ConfigError -> 1, NumericError -> 2,
 and I/O failures (OSError) -> 3.
@@ -45,3 +45,11 @@ def require_int(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_seed(value, name: str = "seed") -> int:
+    """An integer in numpy's seed range [0, 2^64): the ``seed`` key and ``--seed``."""
+    seed = require_int(value, name)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+    return seed

@@ -253,7 +253,7 @@ def choose_levels(n_star: float, config: EstimatorConfig, N: int) -> tuple[int, 
 
 def plan(design: ChannelDesign, config: EstimatorConfig) -> Plan:
     """A design's plan, with no kernel evaluated and no noise drawn; the estimate
-    thresholds in the regular regime when J > j0, else it is linear at j0."""
+    thresholds in the regular regime when J > j0, else it is linear at level J."""
     eps, n_star = epsilon_n(design)
     j0, J, warnings = choose_levels(n_star, config, design.N)
     return Plan(n=design.n, M=design.M, N=design.N, epsilon_n=eps, n_star=n_star,

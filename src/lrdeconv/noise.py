@@ -124,7 +124,7 @@ def spectral_density(model: NoiseModel, lam) -> np.ndarray:
         out = sigma2 / (2 * np.pi) * np.abs(2.0 * (1.0 - np.cos(lam_arr))) ** (-model.d)
         return out if out.shape else float(out)
 
-    from scipy import special  # imported here so that ``estimate`` never loads scipy
+    from scipy import special  # only here, so that simulate, estimate and bench never load it
 
     # fGn: sum_{k in Z} |k + x|^(-s) = zeta(s, x) + zeta(s, 1 - x), x in (0, 1/2]
     # (d > 0 here, so lambda = 0 was rejected above as the pole)
@@ -138,12 +138,13 @@ def spectral_density(model: NoiseModel, lam) -> np.ndarray:
 
 
 def autocovariance(model: NoiseModel, lag) -> np.ndarray:
-    """Autocovariance gamma(lag) consistent with ``spectral_density``.
+    """Autocovariance gamma(lag) at integer lags, consistent with ``spectral_density``.
 
-    FARIMA uses the closed form
-    gamma(k) = scale^2 * G(1-2d) G(k+d) / (G(d) G(1-d) G(k+1-d)) for d > 0
-    (log-gamma evaluated to avoid overflow); fGn uses
-    gamma(k) = (scale^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).
+    fGn: gamma(k) = (scale^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).  White and
+    FARIMA(0, d, 0), d = 0 included: gamma(0) = scale^2 G(1-2d) / G(1-d)^2 and
+    Hosking's (1981) recurrence gamma(k) = gamma(k-1) (k-1+d) / (k-d), one
+    cumulative product over a prefix of max|lag| + 1 floats (exactly 0 past lag 0
+    at d = 0).
     """
     k = np.abs(np.asarray(lag))
     sigma2 = model.scale ** 2
@@ -154,25 +155,10 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
         out = 0.5 * sigma2 * ((kf + 1) ** H2 - 2 * kf ** H2 + np.abs(kf - 1) ** H2)
         return out if out.shape else float(out)
 
-    if model.kind == "white" or model.d == 0.0:
-        out = np.where(k == 0, sigma2, 0.0)
-        return out if out.shape else float(out)
-
-    from scipy import special
-
     d = model.d
-    kf = k.astype(float)
-    with np.errstate(invalid="ignore"):
-        log_g = (
-            special.gammaln(1 - 2 * d)
-            + special.gammaln(kf + d)
-            - special.gammaln(d)
-            - special.gammaln(1 - d)
-            - special.gammaln(kf + 1 - d)
-        )
-    # a subnormal d overflows gammaln(d), so lag 0 is inf - inf; there G(k+d)/G(d) = 1
-    lag0 = special.gammaln(1 - 2 * d) - 2 * special.gammaln(1 - d)
-    out = sigma2 * np.exp(np.where(np.isfinite(log_g) | (k != 0), log_g, lag0))
+    gamma0 = sigma2 * math.exp(math.lgamma(1 - 2 * d) - 2 * math.lgamma(1 - d))
+    j = np.arange(1.0, k.max(initial=0) + 1)
+    out = np.cumprod(np.concatenate([[gamma0], (j - 1 + d) / (j - d)]))[k]
     return out if out.shape else float(out)
 
 

@@ -335,9 +335,37 @@ class TestCliValidation:
         assert capsys.readouterr().err.startswith("i/o error:")
 
     def test_threads_validation(self, tmp_path, capsys, monkeypatch):
-        path, _ = write_config(tmp_path, BASE_CONFIG)
+        path, out = write_config(tmp_path, BASE_CONFIG)
         assert main(["simulate", "--config", str(path), "--threads", "0"]) == 1
         assert capsys.readouterr().err == "config error: --threads must be >= 1\n"
+        # argument errors exit 1 with one line, like every other config error, and
+        # a bad --seed is caught before the output directory is made
+        for args, message in (
+            (["--threads", "abc"], "argument --threads: invalid int value: 'abc'"),
+            (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+            (["--seed", str(2 ** 64)],
+             f"--seed must be an unsigned 64-bit integer, got {2 ** 64}"),
+            (["--bogus"], "unrecognized arguments: --bogus"),
+        ):
+            assert main(["simulate", "--config", str(path), *args]) == 1
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
+        for argv, message in (
+            (["simulate"], "the following arguments are required: --config"),
+            ([], "the following arguments are required: command"),
+            (["bogus", "--config", str(path)], "argument command: invalid choice: 'bogus'"),
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"config error: {message}")
+            assert captured.err.count("\n") == 1
+        with pytest.raises(SystemExit) as exit_help:
+            main(["simulate", "--help"])
+        assert exit_help.value.code == 0
+        assert main(["simulate", "--config", str(path), "--seed", str(2 ** 64 - 1),
+                     "--dry-run"]) == 0
+        capsys.readouterr()
         for env, message in (("0", "--threads must be >= 1"),
                              ("abc", "LRD_DECONV_THREADS must be an integer, got 'abc'")):
             monkeypatch.setenv("LRD_DECONV_THREADS", env)
@@ -376,11 +404,17 @@ class TestCliValidation:
         pytest.param("bench.n_grid", [16384, 16385], id="n_grid-not-a-power-of-2"),
         pytest.param("design.n", None, id="n-missing"),
         pytest.param("estimator.level_override", [3], id="level_override-one-level"),
+        ("seed", -1), ("seed", 2 ** 64), ("--seed", "-1"), ("--seed", str(2 ** 64)),
+        ("--seed", "abc"), ("--threads", "abc"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, monkeypatch, key, value):
+        # a key that starts with -- is a command line flag
         raw = yaml.safe_load((CONFIGS / "boxcar-regular.yaml").read_text())
+        flags = []
         if key == "LRD_DECONV_THREADS":
             monkeypatch.setenv(key, value)
+        elif key.startswith("--"):
+            flags = [key, value]
         else:
             *sections, name = key.split(".")
             node = raw
@@ -390,7 +424,7 @@ class TestCliValidation:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
         proc = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
-                        "--dry-run"], tmp_path)
+                        "--dry-run", *flags], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
@@ -630,14 +664,29 @@ def test_shipped_config_dry_runs(path, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_supersmooth_override_dry_run(tmp_path, capsys):
+    # a super-smooth plan with J > j0 keeps levels j0..J-1: the projection at level J
+    path = tmp_path / "override.yaml"
+    text = (CONFIGS / "heat-supersmooth-d0.yaml").read_text()
+    path.write_text(text.replace("  beta: 2.0\n", "  beta: 2.0\n  level_override: [1, 4]\n"))
+    golden = SHIPPED_DRY_RUNS["heat-supersmooth-d0"]["bench"]
+    assert main(["bench", "--config", str(path), "--dry-run"]) == 0
+    assert capsys.readouterr() == (golden.replace(
+        "J=1 (linear estimator, no detail levels)",
+        "J=4 (linear estimator at level 4: levels 1..3 unthresholded)") + "\n", "")
+    assert main(["estimate", "--config", str(path), "--dry-run"]) == 0
+    assert capsys.readouterr().out == "estimate: n*=65536 j0=1 J=4\n"
+
+
 def test_estimate_and_dry_runs_do_not_import_scipy(tmp_path):
-    path, out = write_config(tmp_path, BASE_CONFIG)
-    assert main(["simulate", "--config", str(path)]) == 0
+    # FARIMA noise needs no scipy; only eigencheck and the fGn spectral density do
+    path, _ = write_config(tmp_path, BASE_CONFIG)
     probe = ("import sys\n"
              "from lrdeconv.cli import main\n"
              "code = main(sys.argv[1:])\n"
              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    for args in (["estimate"], ["estimate", "--dry-run"], ["bench", "--dry-run"]):
+    for args in (["simulate"], ["estimate"], ["estimate", "--dry-run"], ["bench", "--dry-run"],
+                 ["bench"]):
         proc = run_python(["-c", probe, *args, "--config", str(path)], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []", args

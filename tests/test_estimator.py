@@ -474,6 +474,22 @@ class TestEstimatePipeline:
         assert result.decisions == []
         assert result.diagnostics.j0 == result.diagnostics.J
 
+    def test_supersmooth_override_is_the_projection_at_level_J(self):
+        # levels j0..J-1 are kept unthresholded, so V_j0 + W_j0 + ... + W_(J-1) = V_J
+        design = ChannelDesign(
+            tuple(2.5e-4 + l / 64 for l in range(1, 65)),
+            (0.0,) * 64, 128, (NoiseModel.white(),) * 64,
+        )
+        f = make_test_function("smooth_sine", 1, {"freq": 1, "mean": 1.0})
+        y = simulate_observations(f, design, BlurKernel("heat"), seed=8)
+        grids = []
+        for override in ((1, 4), (4, 4)):
+            cfg = EstimatorConfig(mu=1.0, alpha1=0.02, beta=2.0, level_override=override)
+            result = estimate(y, design, BlurKernel("heat"), cfg)
+            assert result.decisions == [] and not result.diagnostics.thresholds
+            grids.append(result.grid)
+        assert np.abs(grids[0] - grids[1]).max() <= 1e-12 * np.abs(grids[1]).max()
+
 
 @pytest.fixture(scope="module")
 def null_coefficients():

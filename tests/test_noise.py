@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, special
 from scipy.integrate import quad
 
 from lrdeconv import noise
@@ -101,6 +101,43 @@ class TestAutocovariance:
         assert autocovariance(NoiseModel.farima(0.0), 0) == pytest.approx(1.0)
         assert autocovariance(NoiseModel.farima(0.0), 1) == 0.0
 
+    @pytest.mark.parametrize("model", [NoiseModel.white(1.5), NoiseModel.farima(0.0, 1.5)],
+                             ids=lambda m: m.kind)
+    def test_white_and_d_zero_are_exact(self, model):
+        k = np.arange(-70, 70)
+        gamma = autocovariance(model, k)
+        assert gamma.tobytes() == np.where(k == 0, 1.5 ** 2, 0.0).tobytes()
+        assert autocovariance(model, 0) == 1.5 ** 2 and autocovariance(model, -3) == 0.0
+
+    @pytest.mark.parametrize("d", [1e-310, 1e-6, 0.01, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45,
+                                   0.49, 0.499])
+    def test_recurrence_matches_the_gammaln_closed_form(self, d):
+        # gamma(k) = G(1-2d) G(k+d) / (G(d) G(1-d) G(k+1-d)), with G(k+d)/G(d) written
+        # as d G(k+d)/G(1+d) at k >= 1 so that gammaln(d) cannot overflow
+        k = np.arange(65537)
+        lag0 = special.gammaln(1 - 2 * d) - 2 * special.gammaln(1 - d)
+        log_g = (special.gammaln(1 - 2 * d) - special.gammaln(1 - d) + math.log(d)
+                 + special.gammaln(k + d) - special.gammaln(1 + d) - special.gammaln(k + 1 - d))
+        closed = 2.0 ** 2 * np.exp(np.where(k == 0, lag0, log_g))
+        gamma = autocovariance(NoiseModel.farima(d, 2.0), k)
+        # relative to each value, or to the smallest normal float for a subnormal one
+        tiny = np.finfo(float).tiny
+        for stop, rtol in ((4097, 1e-10), (65537, 2e-9)):
+            err = np.abs(gamma[:stop] - closed[:stop])
+            assert np.all(err <= rtol * np.maximum(closed[:stop], tiny)), stop
+
+    @pytest.mark.parametrize("d", [1e-6, 0.1, 0.25, 0.4, 0.499])
+    def test_recurrence_matches_mpmath(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        lags = [0, 1, 2, 7, 100, 2048, 4096, 65536]
+        gamma = autocovariance(NoiseModel.farima(d), np.array(lags))
+        with mpmath.workdps(40):
+            md = mpmath.mpf(d)
+            for k, value in zip(lags, gamma):
+                exact = (mpmath.gamma(1 - 2 * md) * mpmath.gamma(k + md)
+                         / (mpmath.gamma(md) * mpmath.gamma(1 - md) * mpmath.gamma(k + 1 - md)))
+                assert abs(float(value / exact) - 1) <= 1e-11, k
+
     def test_fgn_half_uncorrelated(self):
         assert autocovariance(NoiseModel.fgn(hurst=0.5), 1) == pytest.approx(0.0, abs=1e-14)
 
@@ -126,7 +163,8 @@ class TestAutocovariance:
     @example(d=2.225073858507e-311, scale=1.0, n_points=128)
     @pytest.mark.filterwarnings("error")
     def test_subnormal_and_tiny_d_are_finite(self, d, scale, n_points):
-        # gammaln(d) overflows for a subnormal d; lag 0 is then G(1-2d)/G(1-d)^2
+        # lag 0 is G(1-2d)/G(1-d)^2 from math.lgamma, with no G(d), which would
+        # overflow for a subnormal d; the later lags are products of size d or 0
         model = NoiseModel.farima(d, scale)
         gamma = autocovariance(model, np.arange(n_points))
         assert np.all(np.isfinite(gamma))
