@@ -116,6 +116,11 @@ class ChannelDesign:
         """log M / log n, the channel-growth diagnostic."""
         return math.log(self.M) / math.log(self.n)
 
+    @property
+    def alias_free_band(self) -> int:
+        """N/2 - 1: the largest |m| whose channel DFT does not alias."""
+        return self.N // 2 - 1
+
     def u_array(self) -> np.ndarray:
         return np.asarray(self.u)
 
@@ -237,8 +242,8 @@ def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarra
 def require_alias_free(f: FourierSeries, design: ChannelDesign) -> None:
     """Raise ConfigError unless the truth's band lies in the design's
     alias-free band |m| <= N/2 - 1."""
-    if f.band > design.N // 2 - 1:
-        raise ConfigError(f"truth band {f.band} exceeds alias-free band {design.N // 2 - 1}")
+    if f.band > design.alias_free_band:
+        raise ConfigError(f"truth band {f.band} exceeds alias-free band {design.alias_free_band}")
 
 
 def simulate_observations(f: FourierSeries, design: ChannelDesign,

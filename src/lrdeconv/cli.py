@@ -190,7 +190,8 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     for n in n_grid:
         design = designs[n] = design_for_n(cfg, n)
         if kernel.kind == "table":  # before any replicate: the estimator reads |m| <= N/2 - 1
-            kernel_fourier(kernel, design.u_array(), np.arange(1 - design.N // 2, design.N // 2))
+            K = design.alias_free_band
+            kernel_fourier(kernel, design.u_array(), np.arange(-K, K + 1))
         plans.append(plan(design, est_cfg))
     if args.dry_run:
         for p in plans:

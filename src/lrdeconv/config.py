@@ -29,7 +29,7 @@ from .errors import ConfigError, require_int, require_seed
 from .estimator import EstimatorConfig, plan
 from .fourier import FourierSeries
 from .noise import DENSE_EIGEN_LIMIT, NoiseModel
-from .riskbench import BesovBall, make_test_function
+from .riskbench import MIN_REPS, BesovBall, make_test_function
 
 __all__ = [
     "RunConfig",
@@ -310,8 +310,8 @@ def build_bench(cfg: RunConfig) -> tuple[list[int], int, BesovBall | None]:
     if len(n_grid) < 1:
         raise ConfigError("bench.n_grid must be nonempty")
     reps = require_int(cfg.bench.get("reps", 100), "bench.reps")
-    if reps < 30:
-        raise ConfigError("bench.reps must be >= 30")
+    if reps < MIN_REPS:
+        raise ConfigError(f"bench.reps must be >= {MIN_REPS}")
     return n_grid, reps, build_ball(cfg) if cfg.bench.get("ball") else None
 
 
@@ -354,7 +354,7 @@ def characterize_range(cfg: RunConfig, design: ChannelDesign) -> range:
     (``channels.fit_frequencies``)."""
     section = cfg.characterize or {}
     _check_keys(section, {"m_min", "m_max"}, "characterize")
-    band = design.N // 2 - 1
+    band = design.alias_free_band
     m_min = require_int(section.get("m_min", 4), "characterize.m_min")
     m_max = require_int(section.get("m_max", min(64, band)), "characterize.m_max")
     if not (-band <= m_min and m_max <= band):

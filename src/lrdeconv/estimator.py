@@ -131,7 +131,7 @@ def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol:
     denominator is not finite (|g|^2 overflows).
     """
     N = design.N
-    full = N // 2 - 1
+    full = design.alias_free_band
     g = np.ascontiguousarray(kernel_fourier(kernel, design.u_array(), np.arange(-full, full + 1)))
     w = (float(N) ** (-2.0 * design.d_array()))[:, None]
     with np.errstate(over="ignore"):
@@ -169,7 +169,7 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     y = np.asarray(y, dtype=float)
     if y.shape != (design.M, design.N):
         raise ConfigError(f"y must be M x N = {design.M} x {design.N}, got {y.shape}")
-    full = design.N // 2 - 1
+    full = design.alias_free_band
     if band is None:
         band = full
     elif not 0 <= band <= full:

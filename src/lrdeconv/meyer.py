@@ -17,7 +17,7 @@ slowly in time for that to be attractive).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,48 +96,34 @@ class FrequencySet:
         return len(self.members)
 
 
-@dataclass
 class WaveletCoefficients:
-    """Scaling coefficients a_{j0,k} and detail coefficients b_{j,k}, j0 <= j < J."""
+    """Scaling coefficients a_{j0,k} and detail coefficients b_{j,k}, j0 <= j < J,
+    in one vector ``values`` of the 2^J coefficients: the scaling block is
+    [0, 2^j0) and level j is [2^j, 2^(j+1)).  ``scaling`` and ``detail[j]``
+    are views into ``values``."""
 
-    j0: int
-    J: int
-    scaling: np.ndarray
-    detail: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.scaling = np.asarray(self.scaling, dtype=complex)
-        if self.scaling.shape != (2 ** self.j0,):
-            raise ConfigError(f"scaling vector must have length 2^j0 = {2 ** self.j0}")
-        if set(self.detail) != set(range(self.j0, self.J)):
-            raise ConfigError(f"detail levels must be exactly {self.j0}..{self.J - 1}")
-        for j in range(self.j0, self.J):
-            self.detail[j] = np.asarray(self.detail[j], dtype=complex)
-            if self.detail[j].shape != (2 ** j,):
-                raise ConfigError(f"level-{j} vector must have length 2^{j}")
+    def __init__(self, j0: int, J: int, values):
+        if not 0 <= j0 <= J:
+            raise ConfigError(f"levels must satisfy 0 <= j0 <= J, got ({j0}, {J})")
+        self.j0, self.J = j0, J
+        self.values = np.asarray(values, dtype=complex)
+        if self.values.shape != (2 ** J,):
+            raise ConfigError(f"coefficient vector must have length 2^J = {2 ** J}")
+        self.scaling = self.values[:2 ** j0]
+        self.detail = {j: self.values[2 ** j:2 ** (j + 1)] for j in range(j0, J)}
 
     @classmethod
     def zeros(cls, j0: int, J: int) -> "WaveletCoefficients":
-        return cls(j0, J, np.zeros(2 ** j0, dtype=complex),
-                   {j: np.zeros(2 ** j, dtype=complex) for j in range(j0, J)})
+        return cls(j0, J, np.zeros(2 ** J, dtype=complex))
 
     def copy(self) -> "WaveletCoefficients":
-        return WaveletCoefficients(
-            self.j0, self.J, self.scaling.copy(),
-            {j: v.copy() for j, v in self.detail.items()},
-        )
+        return WaveletCoefficients(self.j0, self.J, self.values.copy())
 
     def energy(self) -> float:
-        total = float(np.sum(np.abs(self.scaling) ** 2))
-        for v in self.detail.values():
-            total += float(np.sum(np.abs(v) ** 2))
-        return total
+        return float(np.sum(np.abs(self.values) ** 2))
 
     def imag_residue(self) -> float:
-        worst = float(np.max(np.abs(self.scaling.imag), initial=0.0))
-        for v in self.detail.values():
-            worst = max(worst, float(np.max(np.abs(v.imag), initial=0.0)))
-        return worst
+        return float(np.max(np.abs(self.values.imag), initial=0.0))
 
 
 def scaling_ft(spec: MeyerSpec, omega) -> np.ndarray:
@@ -223,6 +209,13 @@ def needed_band(spec: MeyerSpec) -> int:
     return best
 
 
+def _levels(coeffs: WaveletCoefficients):
+    """(j, kind, view) for the scaling level j0, then each detail level j0 <= j < J."""
+    yield coeffs.j0, "scaling", coeffs.scaling
+    for j in range(coeffs.j0, coeffs.J):
+        yield j, "wavelet", coeffs.detail[j]
+
+
 def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
     """Coefficients a_{j0,k} = sum_m f_m conj(phi_{m,j0,k}) and likewise b_{j,k}.
 
@@ -235,28 +228,21 @@ def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
             f"analysis needs |m| <= {band} but only |m| <= {f.band} available"
         )
 
-    def level_coeffs(j: int, kind: str) -> np.ndarray:
+    coeffs = WaveletCoefficients.zeros(spec.j0, spec.J)
+    for j, kind, view in _levels(coeffs):
         members, residues, conj_window, _ = _level_cache(spec.aux_poly, j, kind)
         grouped = np.zeros(2 ** j, dtype=complex)
         np.add.at(grouped, residues, f.get(members) * conj_window)
-        return 2.0 ** (j / 2.0) * np.fft.ifft(grouped)
-
-    scaling = level_coeffs(spec.j0, "scaling")
-    detail = {j: level_coeffs(j, "wavelet") for j in spec.detail_levels}
-    return WaveletCoefficients(spec.j0, spec.J, scaling, detail)
+        np.multiply(2.0 ** (j / 2.0), np.fft.ifft(grouped), out=view)
+    return coeffs
 
 
 def synthesize_series(coeffs: WaveletCoefficients, spec: MeyerSpec) -> FourierSeries:
     """Fourier coefficients of the truncated expansion sum a phi + sum b psi."""
     band = needed_band(spec)
     values = np.zeros(2 * band + 1, dtype=complex)
-
-    def add_level(j: int, vec: np.ndarray, kind: str):
+    for j, kind, vec in _levels(coeffs):
         members, residues, _, scaled_window = _level_cache(spec.aux_poly, j, kind)
         phases = np.fft.fft(vec)  # sum_k vec_k exp(-2 pi i k m / 2^j) at m mod 2^j
         values[members + band] += scaled_window * phases[residues]
-
-    add_level(coeffs.j0, coeffs.scaling, "scaling")
-    for j in coeffs.detail.keys():
-        add_level(j, coeffs.detail[j], "wavelet")
     return FourierSeries(band, values)

@@ -21,6 +21,7 @@ from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import WaveletCoefficients
 
 __all__ = [
+    "MIN_REPS",
     "BesovBall",
     "RateForecast",
     "RiskReport",
@@ -30,6 +31,9 @@ __all__ = [
     "mc_risk",
     "fit_rate",
 ]
+
+# Fewest replicates per grid point that ``mc_risk`` and ``bench.reps`` accept.
+MIN_REPS = 30
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,9 @@ def besov_seminorm(coeffs: WaveletCoefficients, ball: BesovBall) -> float:
     level may contribute at most 1% of the detail part.
     """
     a_term = _lp(np.abs(coeffs.scaling), ball.p)
-    levels = sorted(coeffs.detail)
     terms = np.array([
-        2.0 ** (j * ball.s_prime) * _lp(np.abs(coeffs.detail[j]), ball.p) for j in levels
+        2.0 ** (j * ball.s_prime) * _lp(np.abs(coeffs.detail[j]), ball.p)
+        for j in range(coeffs.j0, coeffs.J)
     ])
     if terms.size:
         detail = _lp(terms, ball.q)
@@ -139,6 +143,8 @@ def make_test_function(name: str, band: int, params: dict | None = None) -> Four
         freq = require_int(params.pop("freq", 3), "smooth_sine freq")
         amp = float(params.pop("amplitude", 1.0))
         mean = float(params.pop("mean", 0.0))
+        if freq < 0:
+            raise ConfigError(f"smooth_sine freq must be >= 0, got {freq}")
         if freq > band:
             raise ConfigError(f"freq {freq} exceeds band {band}")
         values[band] = mean
@@ -152,12 +158,18 @@ def make_test_function(name: str, band: int, params: dict | None = None) -> Four
         widths = params.pop("widths", (0.05, 0.1))
         weights = params.pop("weights", (1.0, 0.7))
         amp = float(params.pop("amplitude", 1.0))
+        lengths = (len(centers), len(widths), len(weights))
+        if not 0 < lengths[0] == lengths[1] == lengths[2]:
+            raise ConfigError("bump_mix centers, widths and weights must be non-empty lists "
+                              f"of equal length, got lengths {lengths}")
         for c, w, a in zip(centers, widths, weights):
             values += amp * a * np.exp(-2.0 * (np.pi * w * m) ** 2) * np.exp(-2j * np.pi * m * c)
     elif name == "sawtooth_smoothed":
         m0 = float(params.pop("m0", 4.0))
         decay = float(params.pop("decay", 1.5))
         amp = float(params.pop("amplitude", 1.0))
+        if not 0 < m0 < math.inf:
+            raise ConfigError(f"sawtooth_smoothed m0 must be > 0 and finite, got {m0}")
         nz = m != 0
         mf = m[nz].astype(float)
         values[nz] = amp / (1j * np.pi * mf) * (1.0 + (mf / m0) ** 2) ** (-decay / 2.0)
@@ -216,8 +228,8 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
     (or thread count) reproduces identical statistics, and the same n gives
     the same draws in any grid.
     """
-    if reps < 30:
-        raise ConfigError("reps must be >= 30")
+    if reps < MIN_REPS:
+        raise ConfigError(f"reps must be >= {MIN_REPS}")
     report = RiskReport()
     for n in n_grid:
         design = design_for_n(int(n))

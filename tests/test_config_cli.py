@@ -30,7 +30,7 @@ from lrdeconv.config import (
 )
 from lrdeconv.errors import ConfigError
 from lrdeconv.estimator import EstimatorConfig, plan
-from lrdeconv.riskbench import BesovBall, RiskReport, mc_risk
+from lrdeconv.riskbench import MIN_REPS, BesovBall, RiskReport, mc_risk
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -485,6 +485,56 @@ class TestCliValidation:
         base = build_truth(load_config(write_config(tmp_path, BASE_CONFIG, name="base.yaml")[0]))
         assert np.abs(values[0]).max() == pytest.approx(3.0 * np.abs(base.values).max())
 
+    @pytest.mark.parametrize("truth, message", [
+        ("kind: bump_mix\n  band: 8\n  params: {{centers: [0.3, 0.7], widths: [0.05], "
+         "weights: [1.0, 0.7]}}", "bump_mix centers, widths and weights must be non-empty "
+         "lists of equal length, got lengths (2, 1, 2)"),
+        ("kind: bump_mix\n  band: 8\n  params: {{centers: [0.3], widths: [0.05], "
+         "weights: [1.0, 0.7]}}", "bump_mix centers, widths and weights must be non-empty "
+         "lists of equal length, got lengths (1, 1, 2)"),
+        ("kind: bump_mix\n  band: 8\n  params: {{centers: [], widths: [], weights: []}}",
+         "bump_mix centers, widths and weights must be non-empty lists of equal length, "
+         "got lengths (0, 0, 0)"),
+        ("kind: smooth_sine\n  band: 8\n  params: {{freq: -3}}",
+         "smooth_sine freq must be >= 0, got -3"),
+        ("kind: smooth_sine\n  band: 5\n  params: {{freq: -30}}",
+         "smooth_sine freq must be >= 0, got -30"),
+        ("kind: sawtooth_smoothed\n  band: 8\n  params: {{m0: 0}}",
+         "sawtooth_smoothed m0 must be > 0 and finite, got 0.0"),
+        ("kind: sawtooth_smoothed\n  band: 8\n  params: {{m0: -4.0}}",
+         "sawtooth_smoothed m0 must be > 0 and finite, got -4.0"),
+        ("kind: sawtooth_smoothed\n  band: 8\n  params: {{m0: .inf}}",
+         "sawtooth_smoothed m0 must be > 0 and finite, got inf"),
+        ("kind: sawtooth_smoothed\n  band: 8\n  params: {{m0: .nan}}",
+         "sawtooth_smoothed m0 must be > 0 and finite, got nan"),
+    ], ids=["bump-short-widths", "bump-short-centers", "bump-empty", "sine-freq-3",
+            "sine-freq-30-at-band-5", "saw-m0-zero", "saw-m0-negative", "saw-m0-inf",
+            "saw-m0-nan"])
+    def test_test_function_parameters_that_give_another_truth_exit_1_at_load(
+            self, tmp_path, capsys, truth, message):
+        # each of these once simulated a truth other than the one its parameters name
+        base_truth = "kind: sawtooth_smoothed\n  band: 8\n  amplitude: 1.0\n" \
+            "  params: {{m0: 3.0, decay: 1.5}}"
+        assert base_truth in BASE_CONFIG
+        path, out = write_config(tmp_path, BASE_CONFIG.replace(base_truth, truth))
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), *dry_run])
+                assert (code, *capsys.readouterr()) == (1, "", f"config error: {message}\n")
+        assert not out.exists()
+
+    def test_bench_reps_below_the_floor_exit_1_at_load(self, tmp_path, capsys):
+        assert MIN_REPS == 30 and "  reps: 30\n" in BASE_CONFIG
+        path, out = write_config(tmp_path, BASE_CONFIG.replace("  reps: 30\n", "  reps: 29\n"))
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), *dry_run])
+                assert (code, *capsys.readouterr()) == (
+                    1, "", "config error: bench.reps must be >= 30\n")
+        assert not out.exists()
+        assert build_bench(load_config(write_config(tmp_path, BASE_CONFIG, "ok.yaml")[0]))[1] \
+            == MIN_REPS
+
     def test_truth_band_above_a_design_band_exits_1_at_load(self, tmp_path, capsys):
         # design.n = 65536 has N = 256, so the alias-free band is 127
         text = (CONFIGS / "boxcar-regular.yaml").read_text()
@@ -815,7 +865,8 @@ class TestSimulateEstimate:
         save_kernel_table(table, m, u, np.outer((1.0 + np.abs(m)) ** -0.5, np.ones(len(u))))
         text = FINE_CONFIG.replace("{table}", str(table)).replace(
             "kind: smooth_sine\n  band: 8\n  params: {{freq: 3}}",
-            "kind: bump_mix\n  band: 600\n  params: {{centers: [0.3], widths: [0.004]}}")
+            "kind: bump_mix\n  band: 600\n  params: {{centers: [0.3], widths: [0.004], "
+            "weights: [1.0]}}")
         path, out = write_config(tmp_path, text)
         for command in ("simulate", "estimate"):
             assert main([command, "--config", str(path)]) == 0

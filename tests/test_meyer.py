@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrdeconv.errors import ConfigError, MissingFrequencyError
+from lrdeconv.estimator import EstimatorConfig, block_threshold
 from lrdeconv.fourier import FourierSeries, coeffs_to_grid
 from lrdeconv.meyer import (
     SUPPORT_TOL,
@@ -273,6 +276,131 @@ class TestAnalysisSynthesis:
         f = hermitian_series(10, rng)
         with pytest.raises(MissingFrequencyError):
             analyze(f, SPEC)
+
+
+def reference_analyze(f, spec):
+    """Analysis into a scaling array and a dict of per-level detail arrays,
+    one inverse FFT per level: the reference for the flat layout."""
+
+    def level_coeffs(j, kind):
+        members, residues, conj_window, _ = _level_cache(spec.aux_poly, j, kind)
+        grouped = np.zeros(2 ** j, dtype=complex)
+        np.add.at(grouped, residues, f.get(members) * conj_window)
+        return 2.0 ** (j / 2.0) * np.fft.ifft(grouped)
+
+    scaling = level_coeffs(spec.j0, "scaling")
+    return scaling, {j: level_coeffs(j, "wavelet") for j in spec.detail_levels}
+
+
+def reference_synthesize(scaling, detail, spec):
+    """Synthesis from a scaling array and a dict of detail arrays: the
+    reference for the flat layout; returns the Fourier values at |m| <= band."""
+    band = needed_band(spec)
+    values = np.zeros(2 * band + 1, dtype=complex)
+
+    def add_level(j, vec, kind):
+        members, residues, _, scaled_window = _level_cache(spec.aux_poly, j, kind)
+        phases = np.fft.fft(vec)
+        values[members + band] += scaled_window * phases[residues]
+
+    add_level(spec.j0, scaling, "scaling")
+    for j in detail.keys():
+        add_level(j, detail[j], "wavelet")
+    return values
+
+
+def random_hermitian(band, rng):
+    half = rng.normal(size=band) + 1j * rng.normal(size=band)
+    return FourierSeries(band, np.concatenate([np.conj(half[::-1]), [rng.normal()], half]))
+
+
+class TestFlatLayout:
+    """The 2^J coefficients in one vector: scaling block [0, 2^j0), level j
+    at [2^j, 2^(j+1)), with ``scaling`` and ``detail[j]`` views into it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted),
+           extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(levels=[0, 0], extra=0, seed=1)
+    @example(levels=[0, 12], extra=0, seed=2)
+    @example(levels=[3, 11], extra=1, seed=3)
+    @example(levels=[12, 12], extra=0, seed=4)
+    def test_same_bits_as_the_per_level_reference(self, levels, extra, seed):
+        j0, J = levels
+        spec = MeyerSpec(j0, J)
+        rng = np.random.default_rng(seed)
+        f = random_hermitian(needed_band(spec) + extra, rng)
+        coeffs = analyze(f, spec)
+        scaling, detail = reference_analyze(f, spec)
+        assert coeffs.scaling.tobytes() == scaling.tobytes()
+        assert sorted(coeffs.detail) == sorted(detail) == list(range(j0, J))
+        for j in range(j0, J):
+            assert coeffs.detail[j].tobytes() == detail[j].tobytes(), j
+        want = reference_synthesize(scaling, detail, spec)
+        assert synthesize_series(coeffs, spec).values.tobytes() == want.tobytes()
+        # synthesis of coefficients that no analysis produced
+        values = rng.normal(size=2 ** J) + 1j * rng.normal(size=2 ** J)
+        want = reference_synthesize(values[:2 ** j0].copy(),
+                                    {j: values[2 ** j:2 ** (j + 1)].copy()
+                                     for j in range(j0, J)}, spec)
+        got = synthesize_series(WaveletCoefficients(j0, J, values), spec)
+        assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("j0, J", [(0, 0), (0, 1), (0, 5), (3, 3), (3, 7)])
+    def test_views_tile_the_vector(self, j0, J):
+        coeffs = WaveletCoefficients(j0, J, np.arange(2 ** J))
+        assert coeffs.values.dtype == complex and coeffs.values.shape == (2 ** J,)
+        assert coeffs.scaling.real.tolist() == list(range(2 ** j0))
+        assert sorted(coeffs.detail) == list(range(j0, J))
+        for j in range(j0, J):
+            assert coeffs.detail[j].real.tolist() == list(range(2 ** j, 2 ** (j + 1)))
+        views = [coeffs.scaling] + [coeffs.detail[j] for j in range(j0, J)]
+        assert all(np.shares_memory(v, coeffs.values) for v in views)
+
+    def test_writes_through_the_views_show_in_values(self):
+        coeffs = WaveletCoefficients.zeros(2, 5)
+        coeffs.scaling[1] = 2.0
+        coeffs.detail[4][3] = 1.0 - 1.0j
+        coeffs.detail[2][:] = 5.0
+        want = np.zeros(32, dtype=complex)
+        want[1], want[16 + 3], want[4:8] = 2.0, 1.0 - 1.0j, 5.0
+        assert coeffs.values.tobytes() == want.tobytes()
+
+    def test_copy_is_independent(self, rng):
+        coeffs = WaveletCoefficients(2, 6, rng.normal(size=64) + 1j * rng.normal(size=64))
+        before = coeffs.values.copy()
+        twin = coeffs.copy()
+        assert not np.shares_memory(twin.values, coeffs.values)
+        assert twin.values.tobytes() == before.tobytes()
+        twin.scaling[:] = 0.0
+        twin.detail[5][:] = 0.0
+        assert coeffs.values.tobytes() == before.tobytes()
+        assert np.all(twin.values[:4] == 0.0) and np.all(twin.values[32:] == 0.0)
+        coeffs.detail[3][0] = 7.0
+        assert twin.values[8] == before[8]
+
+    def test_block_threshold_leaves_its_input_unchanged(self, rng):
+        coeffs = WaveletCoefficients(3, 7, 0.5 * (rng.normal(size=128)
+                                                  + 1j * rng.normal(size=128)))
+        before = coeffs.values.copy()
+        out, decisions = block_threshold(coeffs, 1024, 1024.0, EstimatorConfig(mu=1.0, nu=1.0))
+        assert {d.kept for d in decisions} == {True, False}
+        assert coeffs.values.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.values, coeffs.values)
+        assert out.scaling.tobytes() == before[:8].tobytes()
+
+    @pytest.mark.parametrize("j0, J, values", [
+        (3, 5, np.zeros(31)),
+        (3, 5, np.zeros(33)),
+        (3, 5, np.zeros((2, 16))),
+        (3, 5, np.zeros(8)),
+        (5, 3, np.zeros(8)),
+        (5, 3, np.zeros(32)),
+        (-1, 3, np.zeros(8)),
+    ])
+    def test_wrong_length_or_levels_raise(self, j0, J, values):
+        with pytest.raises(ConfigError):
+            WaveletCoefficients(j0, J, values)
 
 
 class TestFourierHelpers:

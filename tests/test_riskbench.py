@@ -15,6 +15,7 @@ from lrdeconv.fourier import FourierSeries, coeffs_to_grid
 from lrdeconv.meyer import MeyerSpec, WaveletCoefficients, analyze, synthesize_series
 from lrdeconv.noise import NoiseModel
 from lrdeconv.riskbench import (
+    MIN_REPS,
     BesovBall,
     RiskReport,
     besov_seminorm,
@@ -112,6 +113,18 @@ class TestMakeTestFunction:
         value = besov_seminorm(analyze_padded(f, MeyerSpec(3, 8)), ball)
         assert value <= ball.radius
 
+    def test_parameter_boundaries(self):
+        # freq = 0 is the constant mean + amplitude; one bump is a list of one
+        f = make_test_function("smooth_sine", 4, {"freq": 0, "mean": 0.5, "amplitude": 2.0})
+        assert f.values[f.band] == 2.5 and np.count_nonzero(f.values) == 1
+        one = make_test_function("bump_mix", 8, {"centers": [0.3], "widths": [0.05],
+                                                 "weights": [1.0]})
+        two = make_test_function("bump_mix", 8, {"centers": [0.3, 0.7], "widths": [0.05, 0.1],
+                                                 "weights": [1.0, 0.0]})
+        assert one.values == pytest.approx(two.values, abs=1e-15)
+        assert np.all(np.isfinite(make_test_function("sawtooth_smoothed", 8,
+                                                     {"m0": 1e-3}).values))
+
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             make_test_function("spikes", 8, {})
@@ -199,9 +212,10 @@ class TestMcRisk:
 
     def test_reps_minimum(self):
         f = make_test_function("smooth_sine", 2, {"freq": 2})
-        with pytest.raises(ConfigError):
+        assert MIN_REPS == 30
+        with pytest.raises(ConfigError, match=r"^reps must be >= 30$"):
             mc_risk(f, tiny_design_family(), BlurKernel("boxcar"),
-                    EstimatorConfig(), [2 ** 10], reps=10, master_seed=0)
+                    EstimatorConfig(), [2 ** 10], reps=MIN_REPS - 1, master_seed=0)
 
     def test_risk_non_increasing_and_se_scaling(self):
         f = make_test_function("sawtooth_smoothed", 30, {"m0": 4.0, "decay": 1.5})
