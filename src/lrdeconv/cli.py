@@ -42,7 +42,7 @@ from .estimator import block_length, estimate, plan, threshold_value
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, analyze, needed_band
 from .noise import toeplitz_eigen_bounds
-from .riskbench import RiskReport, besov_seminorm, fit_rate, mc_risk, theoretical_rate
+from .riskbench import RiskReport, besov_seminorm, fit_rate, mc_risk, rate_axis, theoretical_rate
 
 FMT = "%.17g"
 
@@ -230,9 +230,7 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     header = _header(cfg, "bench", seed)
     _write_table(out / "risk_report.csv", header,
                  ["n", "M", "N", "n_star", "risk_mean", "risk_se", "reps"], report.rows)
-    xs = np.log(report.column("n_star").astype(float))
-    if est_cfg.supersmooth:
-        xs = np.log(xs)
+    xs = rate_axis(regressor, report.column("n_star").astype(float))
     ys = np.log(report.column("risk_mean").astype(float))
     np.savetxt(out / "risk_curve.dat", np.column_stack([xs, ys]), fmt=FMT, delimiter=" ",
                comments="", header="\n".join(header))

@@ -320,6 +320,6 @@ def estimate(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     else:
         thresholded, decisions = block_threshold(coeffs, design.n, p.n_star, config)
 
-    series = synthesize_series(thresholded, spec)
+    series = synthesize_series(thresholded)
     grid = coeffs_to_grid(series, design.N).real
     return EstimateResult(grid, thresholded, decisions, replace(p, ill_posed=ill_posed))

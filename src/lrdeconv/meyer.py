@@ -97,27 +97,25 @@ class FrequencySet:
 
 
 class WaveletCoefficients:
-    """Scaling coefficients a_{j0,k} and detail coefficients b_{j,k}, j0 <= j < J,
-    in one vector ``values`` of the 2^J coefficients: the scaling block is
-    [0, 2^j0) and level j is [2^j, 2^(j+1)).  ``scaling`` and ``detail[j]``
-    are views into ``values``."""
+    """Coefficients a_{j0,k} and b_{j,k}, j0 <= j < J, of one expansion in the basis
+    ``spec``, in one vector ``values`` of the 2^J coefficients: the scaling block is
+    [0, 2^j0) and level j is [2^j, 2^(j+1)).  ``scaling`` and ``detail[j]`` are
+    views into ``values``."""
 
-    def __init__(self, j0: int, J: int, values):
-        if not 0 <= j0 <= J:
-            raise ConfigError(f"levels must satisfy 0 <= j0 <= J, got ({j0}, {J})")
-        self.j0, self.J = j0, J
+    def __init__(self, spec: MeyerSpec, values):
+        self.spec, self.j0, self.J = spec, spec.j0, spec.J
         self.values = np.asarray(values, dtype=complex)
-        if self.values.shape != (2 ** J,):
-            raise ConfigError(f"coefficient vector must have length 2^J = {2 ** J}")
-        self.scaling = self.values[:2 ** j0]
-        self.detail = {j: self.values[2 ** j:2 ** (j + 1)] for j in range(j0, J)}
+        if self.values.shape != (2 ** self.J,):
+            raise ConfigError(f"coefficient vector must have length 2^J = {2 ** self.J}")
+        self.scaling = self.values[:2 ** self.j0]
+        self.detail = {j: self.values[2 ** j:2 ** (j + 1)] for j in spec.detail_levels}
 
     @classmethod
-    def zeros(cls, j0: int, J: int) -> "WaveletCoefficients":
-        return cls(j0, J, np.zeros(2 ** J, dtype=complex))
+    def zeros(cls, spec: MeyerSpec) -> "WaveletCoefficients":
+        return cls(spec, np.zeros(2 ** spec.J, dtype=complex))
 
     def copy(self) -> "WaveletCoefficients":
-        return WaveletCoefficients(self.j0, self.J, self.values.copy())
+        return WaveletCoefficients(self.spec, self.values.copy())
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
@@ -201,12 +199,11 @@ def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") 
 
 
 def needed_band(spec: MeyerSpec) -> int:
-    """Largest |m| over the level-j0 scaling set and the detail sets j0 <= j < J:
-    the band that analysis reads and synthesis writes."""
-    best = int(np.abs(scaling_frequency_set(spec, spec.j0).members).max())
-    for j in spec.detail_levels:
-        best = max(best, int(np.abs(frequency_set(spec, j).members).max()))
-    return best
+    """Largest |m| that analysis reads and synthesis writes: the last member of level
+    J-1's wavelet set, or of the level-j0 scaling set when J = j0, as a detail window
+    2^j < 3|m| < 2^(j+2) grows with j and holds the scaling window 3|m| < 2^(j0+1)."""
+    j, kind = (spec.J - 1, "wavelet") if spec.J > spec.j0 else (spec.j0, "scaling")
+    return int(_level_cache(spec.aux_poly, j, kind)[0][-1])
 
 
 def _levels(coeffs: WaveletCoefficients):
@@ -228,21 +225,22 @@ def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
             f"analysis needs |m| <= {band} but only |m| <= {f.band} available"
         )
 
-    coeffs = WaveletCoefficients.zeros(spec.j0, spec.J)
+    coeffs = WaveletCoefficients.zeros(spec)
     for j, kind, view in _levels(coeffs):
         members, residues, conj_window, _ = _level_cache(spec.aux_poly, j, kind)
         grouped = np.zeros(2 ** j, dtype=complex)
-        np.add.at(grouped, residues, f.get(members) * conj_window)
+        np.add.at(grouped, residues, f.values[members + f.band] * conj_window)
         np.multiply(2.0 ** (j / 2.0), np.fft.ifft(grouped), out=view)
     return coeffs
 
 
-def synthesize_series(coeffs: WaveletCoefficients, spec: MeyerSpec) -> FourierSeries:
-    """Fourier coefficients of the truncated expansion sum a phi + sum b psi."""
-    band = needed_band(spec)
+def synthesize_series(coeffs: WaveletCoefficients) -> FourierSeries:
+    """Fourier coefficients of the truncated expansion sum a phi + sum b psi
+    in the coefficients' own basis."""
+    band = needed_band(coeffs.spec)
     values = np.zeros(2 * band + 1, dtype=complex)
     for j, kind, vec in _levels(coeffs):
-        members, residues, _, scaled_window = _level_cache(spec.aux_poly, j, kind)
+        members, residues, _, scaled_window = _level_cache(coeffs.spec.aux_poly, j, kind)
         phases = np.fft.fft(vec)  # sum_k vec_k exp(-2 pi i k m / 2^j) at m mod 2^j
         values[members + band] += scaled_window * phases[residues]
     return FourierSeries(band, values)

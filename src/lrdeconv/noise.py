@@ -59,8 +59,8 @@ class NoiseModel:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.d < 0.5:
             raise ConfigError(f"memory exponent must satisfy 0 <= d < 1/2, got {self.d}")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be > 0, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale * self.scale)):
+            raise ConfigError(f"scale must be > 0 with a finite square, got {self.scale}")
         if self.kind == "white" and self.d != 0.0:
             raise ConfigError("white noise requires d = 0")
 

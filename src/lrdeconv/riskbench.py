@@ -29,6 +29,7 @@ __all__ = [
     "make_test_function",
     "theoretical_rate",
     "mc_risk",
+    "rate_axis",
     "fit_rate",
 ]
 
@@ -52,10 +53,10 @@ class BesovBall:
     def __post_init__(self):
         if not (self.p >= 1 and self.q >= 1):
             raise ConfigError("need p >= 1 and q >= 1")
-        if not self.s > max(0.0, 1.0 / self.p - 0.5):
-            raise ConfigError("need s > max(0, 1/p - 1/2)")
-        if not self.radius > 0:
-            raise ConfigError("ball radius must be > 0")
+        if not max(0.0, 1.0 / self.p - 0.5) < self.s < math.inf:
+            raise ConfigError("need s > max(0, 1/p - 1/2) and finite")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError("ball radius must be > 0 and finite")
 
     @property
     def s_prime(self) -> float:
@@ -126,8 +127,10 @@ def besov_seminorm(coeffs: WaveletCoefficients, ball: BesovBall) -> float:
     return a_term + detail
 
 
+@np.errstate(all="ignore")  # a parameter that gives a non-finite truth raises below
 def make_test_function(name: str, band: int, params: dict | None = None) -> FourierSeries:
-    """Band-limited test truths with Hermitian coefficient tables.
+    """Band-limited test truths with Hermitian coefficient tables; every
+    coefficient must be finite.
 
     smooth_sine        mean + amplitude * cos(2 pi freq t)
     bump_mix           mixture of periodized Gaussian bumps
@@ -177,6 +180,8 @@ def make_test_function(name: str, band: int, params: dict | None = None) -> Four
         raise ConfigError(f"unknown test function {name!r}")
     if params:
         raise ConfigError(f"unused test-function parameters: {sorted(params)}")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{name} parameters give a truth with non-finite coefficients")
     return FourierSeries(band, values)
 
 
@@ -260,19 +265,24 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
     return report
 
 
+def rate_axis(regressor: str, n_star: np.ndarray) -> np.ndarray:
+    """The axis a regressor fits log risk against: log n* for ``log_nstar``,
+    log ln n* for ``log_log_nstar``."""
+    if regressor == "log_nstar":
+        return np.log(n_star)
+    if regressor == "log_log_nstar":
+        return np.log(np.log(n_star))
+    raise ConfigError(f"unknown regressor {regressor!r}")
+
+
 def fit_rate(report: RiskReport, regressor: str = "log_nstar") -> tuple[float, float, float]:
-    """OLS slope of log risk against log n* (or log ln n*), with SE and R^2."""
+    """OLS slope of log risk against ``rate_axis(regressor, n*)``, with SE and R^2."""
     n_star = report.column("n_star").astype(float)
     risks = report.column("risk_mean").astype(float)
     mask = risks > 0
     if mask.sum() < 4:
         raise DegenerateFitError("need at least 4 grid points with positive risk")
-    if regressor == "log_nstar":
-        x = np.log(n_star[mask])
-    elif regressor == "log_log_nstar":
-        x = np.log(np.log(n_star[mask]))
-    else:
-        raise ConfigError(f"unknown regressor {regressor!r}")
+    x = rate_axis(regressor, n_star[mask])
     y = np.log(risks[mask])
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx <= 0:

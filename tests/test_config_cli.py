@@ -236,6 +236,14 @@ def write_config(tmp_path, text, name="cfg.yaml", out=None):
     return path, Path(out_dir)
 
 
+def read_strict_json(path):
+    """A JSON file that holds no NaN, Infinity or -Infinity."""
+    def no_constants(name):
+        raise ValueError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=no_constants)
+
+
 def run_python(args, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -507,12 +515,24 @@ class TestCliValidation:
          "sawtooth_smoothed m0 must be > 0 and finite, got inf"),
         ("kind: sawtooth_smoothed\n  band: 8\n  params: {{m0: .nan}}",
          "sawtooth_smoothed m0 must be > 0 and finite, got nan"),
+        ("kind: bump_mix\n  band: 8\n  params: {{centers: [0.3], widths: [.nan], "
+         "weights: [1.0]}}", "bump_mix parameters give a truth with non-finite coefficients"),
+        ("kind: bump_mix\n  band: 8\n  params: {{centers: [.inf], widths: [0.05], "
+         "weights: [1.0]}}", "bump_mix parameters give a truth with non-finite coefficients"),
+        ("kind: sawtooth_smoothed\n  band: 8\n  params: {{decay: .nan}}",
+         "sawtooth_smoothed parameters give a truth with non-finite coefficients"),
+        ("kind: smooth_sine\n  band: 8\n  params: {{amplitude: .nan}}",
+         "smooth_sine parameters give a truth with non-finite coefficients"),
+        ("kind: smooth_sine\n  band: 8\n  params: {{mean: .inf}}",
+         "smooth_sine parameters give a truth with non-finite coefficients"),
     ], ids=["bump-short-widths", "bump-short-centers", "bump-empty", "sine-freq-3",
             "sine-freq-30-at-band-5", "saw-m0-zero", "saw-m0-negative", "saw-m0-inf",
-            "saw-m0-nan"])
+            "saw-m0-nan", "bump-width-nan", "bump-center-inf", "saw-decay-nan",
+            "sine-amplitude-nan", "sine-mean-inf"])
     def test_test_function_parameters_that_give_another_truth_exit_1_at_load(
             self, tmp_path, capsys, truth, message):
-        # each of these once simulated a truth other than the one its parameters name
+        # each of these once simulated a truth other than the one its parameters
+        # name, or one with non-finite coefficients
         base_truth = "kind: sawtooth_smoothed\n  band: 8\n  amplitude: 1.0\n" \
             "  params: {{m0: 3.0, decay: 1.5}}"
         assert base_truth in BASE_CONFIG
@@ -522,6 +542,36 @@ class TestCliValidation:
                 code = main([command, "--config", str(path), *dry_run])
                 assert (code, *capsys.readouterr()) == (1, "", f"config error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale, value", [(".inf", math.inf), ("1.0e+200", 1e200)])
+    def test_noise_scale_without_a_finite_square_exits_1_at_load(self, tmp_path, capsys,
+                                                                 scale, value):
+        # inf once exited 2 naming a NaN embedding spectrum, 1e200 with a traceback
+        noise = "noise:\n  kind: farima\n  scale: 1.0\n"
+        model = "- {{kind: white, scale: 1.0}}"
+        assert noise in BASE_CONFIG and model in BASE_CONFIG
+        cases = [(BASE_CONFIG.replace(noise, noise.replace("1.0", scale)), ["simulate"]),
+                 (BASE_CONFIG.replace(noise, noise.replace("1.0", scale)),
+                  ["estimate", "--dry-run"]),
+                 (BASE_CONFIG.replace(model, model.replace("1.0", scale)), ["eigencheck"])]
+        for text, args in cases:
+            path, out = write_config(tmp_path, text)
+            code = main([*args[:1], "--config", str(path), *args[1:]])
+            assert (code, *capsys.readouterr()) == (
+                1, "", f"config error: scale must be > 0 with a finite square, got {value}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("ball, message", [
+        ("{{s: .inf, p: 2.0, q: 2.0, radius: 20.0}}", "need s > max(0, 1/p - 1/2) and finite"),
+        ("{{s: 2.0, p: 2.0, q: 2.0, radius: .inf}}", "ball radius must be > 0 and finite"),
+    ])
+    def test_infinite_besov_ball_exits_1_at_load(self, tmp_path, capsys, ball, message):
+        # risk_meta.json once held Infinity and NaN, which strict JSON has not
+        base = "ball: {{s: 2.0, p: 2.0, q: 2.0, radius: 20.0}}"
+        assert base in BASE_CONFIG
+        path, out = write_config(tmp_path, BASE_CONFIG.replace(base, f"ball: {ball}"))
+        code = main(["bench", "--config", str(path), "--dry-run"])
+        assert (code, *capsys.readouterr()) == (1, "", f"config error: {message}\n")
 
     def test_bench_reps_below_the_floor_exit_1_at_load(self, tmp_path, capsys):
         assert MIN_REPS == 30 and "  reps: 30\n" in BASE_CONFIG
@@ -946,11 +996,7 @@ class TestBenchCommand:
         path.write_text(text)
         out = tmp_path / "out"
         assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
-
-        def no_constants(name):
-            raise ValueError(f"risk_meta.json holds {name}")
-
-        meta = json.loads((out / "risk_meta.json").read_text(), parse_constant=no_constants)
+        meta = read_strict_json(out / "risk_meta.json")
         assert meta["fitted_slope"] is None
         assert meta["fitted_slope_se"] is None and meta["r_squared"] is None
         summary = (out / "summary.txt").read_text()
@@ -968,7 +1014,7 @@ class TestBenchCommand:
         header_idx = next(i for i, l in enumerate(report) if not l.startswith("#"))
         assert report[header_idx] == "n,M,N,n_star,risk_mean,risk_se,reps"
         assert len(report) - header_idx - 1 == 4
-        meta = json.loads((out / "risk_meta.json").read_text())
+        meta = read_strict_json(out / "risk_meta.json")
         assert meta["forecast"]["exponent"] == pytest.approx(4.0 / 9.0)
         assert "besov_certificate" in meta
         assert meta["regressor"] == "log_nstar"

@@ -231,7 +231,7 @@ def threshold_blocks(j: int, n: int) -> tuple:
     block energy 0, so the block it lands in is read off the decisions."""
     members: dict[int, list[int]] = {}
     for k in range(2 ** j):
-        coeffs = WaveletCoefficients.zeros(j, j + 1)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(j, j + 1))
         coeffs.detail[j][k] = 1.0
         _, decisions = block_threshold(coeffs, n, 1000.0, EstimatorConfig(mu=0.0, nu=2.0))
         assert [d.block for d in decisions] == list(range(1, len(decisions) + 1))
@@ -266,7 +266,7 @@ class TestBlockLayout:
 
 class TestBlockThreshold:
     def make_coeffs(self, rng):
-        coeffs = WaveletCoefficients.zeros(3, 6)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(3, 6))
         coeffs.scaling[:] = rng.normal(size=8)
         for j in range(3, 6):
             coeffs.detail[j][:] = rng.normal(size=2 ** j)
@@ -281,7 +281,7 @@ class TestBlockThreshold:
             assert np.array_equal(out.detail[j], coeffs.detail[j])
 
     def test_zero_coefficients_kill_all(self):
-        coeffs = WaveletCoefficients.zeros(3, 6)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(3, 6))
         out, decisions = block_threshold(coeffs, 4096, 1000.0,
                                          EstimatorConfig(mu=1.0, nu=2.0))
         assert not any(d.kept for d in decisions)
@@ -290,7 +290,7 @@ class TestBlockThreshold:
     def test_single_energetic_block_survives(self):
         n, n_star = 4096, 1000.0
         cfg = EstimatorConfig(mu=1.0, nu=1.0)
-        coeffs = WaveletCoefficients.zeros(3, 5)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(3, 5))
         lam = threshold_value(4, n_star, cfg)
         start, stop = 9, 16  # block 2 of level 4 at ceil(ln n) = 9
         coeffs.detail[4][start:stop] = math.sqrt(2 * lam / (stop - start))
@@ -360,7 +360,7 @@ class TestLevelAtOnceThreshold:
     def test_matches_the_per_block_sums_bit_for_bit(self, n, j0, extra, seed, log_mu, nu,
                                                     n_star, tie):
         rng = np.random.default_rng(seed)
-        coeffs = WaveletCoefficients.zeros(j0, j0 + extra)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(j0, j0 + extra))
         coeffs.scaling[:] = rng.normal(size=2 ** j0) + 1j * rng.normal(size=2 ** j0)
         for j in range(j0, j0 + extra):
             # magnitudes spread over up to 16 decades within 1e-8..1e8, random

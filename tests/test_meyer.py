@@ -22,6 +22,7 @@ from lrdeconv.meyer import (
     meyer_aux,
     needed_band,
     periodized_coeff,
+    scaling_frequency_set,
     scaling_ft,
     synthesize_series,
     wavelet_ft,
@@ -129,18 +130,21 @@ class TestFrequencySets:
                 if abs(periodized_coeff(SPEC, j, 0, m)) > 1e-14]
         assert list(frequency_set(SPEC, j).members) == scan
 
-    def test_needed_band_is_the_widest_member(self):
+    @pytest.mark.parametrize("aux_poly", ["poly7", "poly3"])
+    def test_needed_band_is_the_widest_member(self, aux_poly):
         # largest |m| with a window above SUPPORT_TOL, scanned level by level
+        spec = MeyerSpec(0, 0, aux_poly)
+
         def widest(j, window):
             m = np.arange(0, 2 ** (j + 2) + 1)
-            return int(m[np.abs(window(SPEC, 2 * np.pi * m / 2 ** j)) > SUPPORT_TOL].max())
+            return int(m[np.abs(window(spec, 2 * np.pi * m / 2 ** j)) > SUPPORT_TOL].max())
 
         scaling = [widest(j, scaling_ft) for j in range(15)]
         detail = [widest(j, wavelet_ft) for j in range(15)]
         for J in range(15):
             for j0 in range(J + 1):
                 expected = max([scaling[j0]] + detail[j0:J])
-                assert needed_band(MeyerSpec(j0, J)) == expected, (j0, J)
+                assert needed_band(MeyerSpec(j0, J, aux_poly)) == expected, (j0, J)
 
     def test_only_adjacent_levels_overlap(self):
         sets = {j: set(frequency_set(SPEC, j).members.tolist()) for j in range(0, 9)}
@@ -215,7 +219,7 @@ class TestAnalysisSynthesis:
         f = FourierSeries.zeros(90)
         coeffs = analyze(f, SPEC)
         assert coeffs.energy() == 0.0
-        assert np.all(coeffs_to_grid(synthesize_series(coeffs, SPEC), 256) == 0.0)
+        assert np.all(coeffs_to_grid(synthesize_series(coeffs), 256) == 0.0)
 
     def test_orthonormality_small_gram(self):
         spec = MeyerSpec(2, 5)
@@ -250,18 +254,18 @@ class TestAnalysisSynthesis:
         # covered band of (j0, J) = (3, 7) is |m| <= 2^7 / 3 = 42
         f = hermitian_series(90, rng, top=42)
         coeffs = analyze(f, SPEC)
-        back = synthesize_series(coeffs, SPEC)
+        back = synthesize_series(coeffs)
         m = np.arange(-42, 43)
         assert back.get(m) == pytest.approx(f.get(m), abs=1e-8)
         grid = coeffs_to_grid(back, 512).real
         assert grid == pytest.approx(coeffs_to_grid(f, 512).real, abs=1e-8)
 
     def test_coefficient_space_round_trip(self, rng):
-        coeffs = WaveletCoefficients.zeros(3, 7)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(3, 7))
         coeffs.scaling[:] = rng.normal(size=8)
         for j in range(3, 7):
             coeffs.detail[j][:] = rng.normal(size=2 ** j)
-        again = analyze(synthesize_series(coeffs, SPEC), SPEC)
+        again = analyze(synthesize_series(coeffs), SPEC)
         assert again.scaling == pytest.approx(coeffs.scaling, abs=1e-9)
         for j in range(3, 7):
             assert again.detail[j] == pytest.approx(coeffs.detail[j], abs=1e-9)
@@ -269,7 +273,7 @@ class TestAnalysisSynthesis:
     def test_parseval(self, rng):
         f = hermitian_series(90, rng, top=42)
         coeffs = analyze(f, SPEC)
-        grid = coeffs_to_grid(synthesize_series(coeffs, SPEC), 1024).real
+        grid = coeffs_to_grid(synthesize_series(coeffs), 1024).real
         assert np.sum(grid ** 2) / 1024 == pytest.approx(coeffs.energy(), abs=1e-8)
 
     def test_missing_frequency_error(self, rng):
@@ -337,18 +341,28 @@ class TestFlatLayout:
         for j in range(j0, J):
             assert coeffs.detail[j].tobytes() == detail[j].tobytes(), j
         want = reference_synthesize(scaling, detail, spec)
-        assert synthesize_series(coeffs, spec).values.tobytes() == want.tobytes()
+        assert synthesize_series(coeffs).values.tobytes() == want.tobytes()
         # synthesis of coefficients that no analysis produced
         values = rng.normal(size=2 ** J) + 1j * rng.normal(size=2 ** J)
         want = reference_synthesize(values[:2 ** j0].copy(),
                                     {j: values[2 ** j:2 ** (j + 1)].copy()
                                      for j in range(j0, J)}, spec)
-        got = synthesize_series(WaveletCoefficients(j0, J, values), spec)
+        got = synthesize_series(WaveletCoefficients(spec, values))
         assert got.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("j0, J", [(0, 0), (0, 1), (0, 5), (3, 3), (3, 7)])
+    def test_coefficients_carry_their_basis(self, j0, J):
+        spec = MeyerSpec(j0, J, "poly3")
+        zeros = WaveletCoefficients.zeros(spec)
+        twin = WaveletCoefficients(spec, np.arange(2 ** J)).copy()
+        for coeffs in (zeros, twin):
+            assert coeffs.spec is spec and (coeffs.j0, coeffs.J) == (j0, J)
+        assert analyze(random_hermitian(needed_band(spec), np.random.default_rng(0)),
+                       spec).spec is spec
+
+    @pytest.mark.parametrize("j0, J", [(0, 0), (0, 1), (0, 5), (3, 3), (3, 7)])
     def test_views_tile_the_vector(self, j0, J):
-        coeffs = WaveletCoefficients(j0, J, np.arange(2 ** J))
+        coeffs = WaveletCoefficients(MeyerSpec(j0, J), np.arange(2 ** J))
         assert coeffs.values.dtype == complex and coeffs.values.shape == (2 ** J,)
         assert coeffs.scaling.real.tolist() == list(range(2 ** j0))
         assert sorted(coeffs.detail) == list(range(j0, J))
@@ -358,7 +372,7 @@ class TestFlatLayout:
         assert all(np.shares_memory(v, coeffs.values) for v in views)
 
     def test_writes_through_the_views_show_in_values(self):
-        coeffs = WaveletCoefficients.zeros(2, 5)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(2, 5))
         coeffs.scaling[1] = 2.0
         coeffs.detail[4][3] = 1.0 - 1.0j
         coeffs.detail[2][:] = 5.0
@@ -367,7 +381,8 @@ class TestFlatLayout:
         assert coeffs.values.tobytes() == want.tobytes()
 
     def test_copy_is_independent(self, rng):
-        coeffs = WaveletCoefficients(2, 6, rng.normal(size=64) + 1j * rng.normal(size=64))
+        coeffs = WaveletCoefficients(MeyerSpec(2, 6),
+                                     rng.normal(size=64) + 1j * rng.normal(size=64))
         before = coeffs.values.copy()
         twin = coeffs.copy()
         assert not np.shares_memory(twin.values, coeffs.values)
@@ -380,8 +395,8 @@ class TestFlatLayout:
         assert twin.values[8] == before[8]
 
     def test_block_threshold_leaves_its_input_unchanged(self, rng):
-        coeffs = WaveletCoefficients(3, 7, 0.5 * (rng.normal(size=128)
-                                                  + 1j * rng.normal(size=128)))
+        coeffs = WaveletCoefficients(MeyerSpec(3, 7), 0.5 * (rng.normal(size=128)
+                                                             + 1j * rng.normal(size=128)))
         before = coeffs.values.copy()
         out, decisions = block_threshold(coeffs, 1024, 1024.0, EstimatorConfig(mu=1.0, nu=1.0))
         assert {d.kept for d in decisions} == {True, False}
@@ -400,7 +415,51 @@ class TestFlatLayout:
     ])
     def test_wrong_length_or_levels_raise(self, j0, J, values):
         with pytest.raises(ConfigError):
-            WaveletCoefficients(j0, J, values)
+            WaveletCoefficients(MeyerSpec(j0, J), values)
+
+
+def walked_needed_band(spec):
+    """The band as the widest member over every level's set, walked level by level."""
+    best = int(np.abs(scaling_frequency_set(spec, spec.j0).members).max())
+    for j in spec.detail_levels:
+        best = max(best, int(np.abs(frequency_set(spec, j).members).max()))
+    return best
+
+
+def synthesize_in_spec(coeffs, spec):
+    """Synthesis in a basis passed beside the coefficients: the two-argument
+    reference for synthesis in the coefficients' own basis."""
+    band = walked_needed_band(spec)
+    values = np.zeros(2 * band + 1, dtype=complex)
+    levels = [(spec.j0, "scaling", coeffs.scaling)]
+    levels += [(j, "wavelet", coeffs.detail[j]) for j in range(coeffs.j0, coeffs.J)]
+    for j, kind, vec in levels:
+        members, residues, _, scaled_window = _level_cache(spec.aux_poly, j, kind)
+        phases = np.fft.fft(vec)
+        values[members + band] += scaled_window * phases[residues]
+    return FourierSeries(band, values)
+
+
+class TestOwnBasis:
+    """Synthesis reads its basis from the coefficients, and the band from the
+    top level alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted),
+           aux_poly=st.sampled_from(["poly7", "poly3"]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(levels=[0, 0], aux_poly="poly3", seed=1)
+    @example(levels=[0, 12], aux_poly="poly7", seed=2)
+    @example(levels=[3, 11], aux_poly="poly3", seed=3)
+    @example(levels=[12, 12], aux_poly="poly7", seed=4)
+    def test_same_bits_as_synthesis_with_the_matching_spec(self, levels, aux_poly, seed):
+        j0, J = levels
+        spec = MeyerSpec(j0, J, aux_poly)
+        rng = np.random.default_rng(seed)
+        coeffs = WaveletCoefficients(spec, rng.normal(size=2 ** J) + 1j * rng.normal(size=2 ** J))
+        got = synthesize_series(coeffs)
+        want = synthesize_in_spec(coeffs, spec)
+        assert needed_band(spec) == walked_needed_band(spec) == got.band == want.band
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestFourierHelpers:

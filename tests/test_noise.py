@@ -34,6 +34,11 @@ class TestModelValidation:
     def test_scale_positive(self):
         with pytest.raises(ConfigError):
             NoiseModel.white(0.0)
+        for scale in (math.nan, math.inf, 1e200, 1.4e154):  # the square must be finite
+            with pytest.raises(ConfigError, match="finite square"):
+                NoiseModel.farima(0.2, scale)
+        assert NoiseModel.white(1e-300).scale == 1e-300
+        assert NoiseModel.farima(0.2, 1.3e154).scale == 1.3e154
 
     def test_fgn_hurst_window(self):
         with pytest.raises(ConfigError):

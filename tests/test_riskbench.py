@@ -22,6 +22,7 @@ from lrdeconv.riskbench import (
     fit_rate,
     make_test_function,
     mc_risk,
+    rate_axis,
     theoretical_rate,
 )
 
@@ -57,17 +58,22 @@ class TestBesovBall:
             BesovBall(s=1.0, p=0.5, q=2.0, radius=1.0)
         with pytest.raises(ConfigError):
             BesovBall(s=1.0, p=2.0, q=2.0, radius=0.0)
+        with pytest.raises(ConfigError):
+            BesovBall(s=math.inf, p=2.0, q=2.0, radius=1.0)
+        with pytest.raises(ConfigError):
+            BesovBall(s=1.0, p=2.0, q=2.0, radius=math.inf)
+        assert BesovBall(s=1.0, p=math.inf, q=math.inf, radius=1.0).p_prime == 2.0
 
 
 class TestBesovSeminorm:
     def test_zero(self):
-        coeffs = WaveletCoefficients.zeros(3, 8)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(3, 8))
         ball = BesovBall(s=2.0, p=2.0, q=2.0, radius=1.0)
         assert besov_seminorm(coeffs, ball) == 0.0
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (1.0, 3.0), (math.inf, math.inf)])
     def test_single_detail_coefficient(self, p, q):
-        coeffs = WaveletCoefficients.zeros(2, 7)
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(2, 7))
         j, c = 4, 0.7
         coeffs.detail[j][3] = c
         ball = BesovBall(s=1.5, p=p, q=q, radius=1.0)
@@ -124,6 +130,20 @@ class TestMakeTestFunction:
         assert one.values == pytest.approx(two.values, abs=1e-15)
         assert np.all(np.isfinite(make_test_function("sawtooth_smoothed", 8,
                                                      {"m0": 1e-3}).values))
+
+    @pytest.mark.parametrize("name, params", [
+        ("bump_mix", {"centers": [0.3], "widths": [math.nan], "weights": [1.0]}),
+        ("bump_mix", {"centers": [math.inf], "widths": [0.05], "weights": [1.0]}),
+        ("bump_mix", {"weights": [math.inf, 1.0], "amplitude": 0.0}),
+        ("sawtooth_smoothed", {"decay": math.nan}),
+        ("smooth_sine", {"amplitude": math.nan}),
+        ("smooth_sine", {"freq": 0, "mean": math.inf, "amplitude": -math.inf}),
+    ])
+    def test_non_finite_coefficients_raise(self, name, params):
+        # computed without a RuntimeWarning, which the suite turns into an error
+        with pytest.raises(ConfigError, match=f"^{name} parameters give a truth with "
+                                              "non-finite coefficients$"):
+            make_test_function(name, 8, params)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
@@ -296,7 +316,7 @@ class TestMcRisk:
         for j in range(3, 6):
             diff += float(np.sum(np.abs(result.coeffs.detail[j]
                                         - truth_coeffs.detail[j]) ** 2))
-        span_energy = synthesize_series(truth_coeffs, spec).energy()
+        span_energy = synthesize_series(truth_coeffs).energy()
         tail = f.energy() - span_energy
         assert grid_risk == pytest.approx(diff + tail, abs=1e-8)
 
@@ -321,6 +341,13 @@ class TestFitRate:
         report = self.make_report(ns, 2.0 * np.log(ns) ** (-3.0))
         slope, _, _ = fit_rate(report, "log_log_nstar")
         assert slope == pytest.approx(-3.0, abs=1e-10)
+
+    def test_rate_axis(self):
+        ns = np.array([3.0, 1e3, 1e8])
+        assert rate_axis("log_nstar", ns).tobytes() == np.log(ns).tobytes()
+        assert rate_axis("log_log_nstar", ns).tobytes() == np.log(np.log(ns)).tobytes()
+        with pytest.raises(ConfigError):
+            rate_axis("bogus", ns)
 
     def test_degenerate(self):
         report = self.make_report([1e3, 1e4], [1.0, 0.5])
