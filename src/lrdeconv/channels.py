@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateFitError, IllPosedFrequencyError
 from .fourier import FourierSeries
 from .meyer import MeyerSpec, frequency_set
-from .noise import NoiseModel, sample_paths
+from .noise import NoiseModel, _blocks, sample_paths
 
 __all__ = [
     "ChannelDesign",
@@ -37,6 +37,7 @@ __all__ = [
     "KernelFit",
     "kernel_fourier",
     "require_alias_free",
+    "require_kernel_band",
     "simulate_observations",
     "tau_kappa",
     "delta_kappa",
@@ -63,9 +64,10 @@ def _hash_once(self) -> int:
     return h
 
 
-def _state_without_hash(self) -> dict:
-    # str hashes differ between interpreters, so a pickled hash would be stale
-    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+def _state_without_caches(self) -> dict:
+    # str hashes differ between interpreters, so a pickled hash would be stale;
+    # a table kernel's arrays are rebuilt from its tuples on first use
+    return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_table")}
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class ChannelDesign:
     noise: tuple
 
     __hash__ = _hash_once
-    __getstate__ = _state_without_hash
+    __getstate__ = _state_without_caches
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(x) for x in self.u))
@@ -88,6 +90,9 @@ class ChannelDesign:
             raise ConfigError("u, d and noise must have one entry per channel")
         if len(self.u) < 1:
             raise ConfigError("design needs at least one channel")
+        for ul in self.u:
+            if not math.isfinite(ul):
+                raise ConfigError(f"channel points must be finite, got u_l = {ul}")
         if self.N < 2 or self.N & (self.N - 1):
             raise ConfigError(f"N must be a power of 2, got {self.N}")
         for dl in self.d:
@@ -148,7 +153,7 @@ class BlurKernel:
     table_g: tuple = ()
 
     __hash__ = _hash_once
-    __getstate__ = _state_without_hash
+    __getstate__ = _state_without_caches
 
     def __post_init__(self):
         if self.kind not in ("heat", "dirichlet", "boxcar", "table"):
@@ -221,13 +226,34 @@ def kernel_fourier(kernel: BlurKernel, u, m) -> np.ndarray:
     return complex(out[0, 0]) if scalar else out
 
 
-def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _table_arrays(kernel: BlurKernel) -> tuple:
+    """A table kernel's channel points, its (rows, points) values, the row
+    order that sorts m and the sorted m, all read-only.  The sort is stable,
+    so repeated m keep table order and the last such row wins."""
     tab_u = np.asarray(kernel.table_u, dtype=float)
     tab_m = np.asarray(kernel.table_m, dtype=int)
     g = np.asarray(kernel.table_g, dtype=complex).reshape(len(tab_m), len(tab_u))
-    # a stable sort keeps repeated m in table order, so the last such row wins
     order = np.argsort(tab_m, kind="stable")
-    sorted_m = tab_m[order]
+    arrays = (tab_u, g, order, tab_m[order])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _table_index(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> tuple:
+    """The table's (rows, points) values, the rows of frequencies m and the
+    columns of channel points u; raises ConfigError naming the first u, then
+    the first m, that the table lacks.
+
+    The arrays are built from the kernel's tuples on first use and kept, the
+    way ``_hash_once`` keeps the hash: the kernel is read a block of
+    frequencies at a time.
+    """
+    arrays = kernel.__dict__.get("_table")
+    if arrays is None:
+        arrays = _table_arrays(kernel)
+        object.__setattr__(kernel, "_table", arrays)
+    tab_u, g, order, sorted_m = arrays
     cols = np.argmin(np.abs(tab_u[None, :] - u[:, None]), axis=1)
     no_col = np.abs(tab_u[cols] - u) > 1e-9 * np.maximum(1.0, np.abs(u))
     if no_col.any():
@@ -236,7 +262,21 @@ def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarra
     no_row = (pos < 0) | (sorted_m[pos] != m)
     if no_row.any():
         raise ConfigError(f"kernel table has no row for m = {int(m[np.argmax(no_row)])}")
-    return g[np.ix_(order[pos], cols)].T  # (len(u), len(m))
+    return g, order[pos], cols
+
+
+def _table_lookup(kernel: BlurKernel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    g, rows, cols = _table_index(kernel, u, m)
+    return g[np.ix_(rows, cols)].T  # (len(u), len(m))
+
+
+def require_kernel_band(kernel: BlurKernel, design: ChannelDesign) -> None:
+    """Raise ConfigError unless a table kernel has a column for each u_l and a
+    row for each |m| <= N/2 - 1, the band the estimator reads; evaluates no
+    kernel value."""
+    if kernel.kind == "table":
+        band = design.alias_free_band
+        _table_index(kernel, design.u_array(), np.arange(-band, band + 1))
 
 
 def require_alias_free(f: FourierSeries, design: ChannelDesign) -> None:
@@ -267,16 +307,23 @@ def _blurred_truth(band: int, values: bytes, design: ChannelDesign,
     """(g(u_l, .) * f)(t_i) on the M x N grid, N ifft(g_m(u_l) f_m); read-only.
 
     The truth is keyed by its band and the bytes of its coefficients, so a
-    truth whose values change is a new entry.
+    truth whose values change is a new entry.  The rows are assembled and
+    transformed a block at a time (``noise._blocks``), so no M x N complex
+    array is held; each row's transform is its own, so the bits do not depend
+    on the block size.
     """
     N = design.N
     m = np.arange(-band, band + 1)
-    g = kernel_fourier(kernel, design.u_array(), m)  # (M, 2B+1)
-    assembled = np.zeros((design.M, N), dtype=complex)
-    assembled[:, np.mod(m, N)] = g * np.frombuffer(values, dtype=complex)[None, :]
-    np.fft.ifft(assembled, axis=1, out=assembled)
-    assembled *= N
-    signal = assembled.real.copy()
+    f = np.frombuffer(values, dtype=complex)[None, :]
+    u = design.u_array()
+    signal = np.empty((design.M, N))
+    for rows in _blocks(design.M, N):
+        g = kernel_fourier(kernel, u[rows], m)  # (rows, 2B+1)
+        assembled = np.zeros((g.shape[0], N), dtype=complex)
+        assembled[:, np.mod(m, N)] = g * f
+        np.fft.ifft(assembled, axis=1, out=assembled)
+        assembled *= N
+        signal[rows] = assembled.real
     signal.flags.writeable = False
     return signal
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import characterize_kernel, kernel_fourier, simulate_observations
+from .channels import characterize_kernel, require_kernel_band, simulate_observations
 from .config import (
     RunConfig,
     build_bench,
@@ -189,9 +189,7 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
     designs, plans = {}, []
     for n in n_grid:
         design = designs[n] = design_for_n(cfg, n)
-        if kernel.kind == "table":  # before any replicate: the estimator reads |m| <= N/2 - 1
-            K = design.alias_free_band
-            kernel_fourier(kernel, design.u_array(), np.arange(-K, K + 1))
+        require_kernel_band(kernel, design)  # before any replicate
         plans.append(plan(design, est_cfg))
     if args.dry_run:
         for p in plans:

@@ -225,6 +225,10 @@ def design_for_n(cfg: RunConfig, n: int) -> ChannelDesign:
             raise ConfigError(f"u_rule.values must have M = {M} entries")
     else:
         raise ConfigError("design.u_rule.kind must be 'equispaced' or 'explicit'")
+    # before d, which a linear d_rule derives from u
+    bad = next((ul for ul in u if not math.isfinite(ul)), None)
+    if bad is not None:
+        raise ConfigError(f"design.u_rule must give finite channel points, got u_l = {bad}")
 
     # ChannelDesign and NoiseModel hold the range 0 <= d_l < 1/2
     kind = d_rule.get("kind")

@@ -29,6 +29,7 @@ from .channels import BlurKernel, ChannelDesign, epsilon_n, kernel_fourier
 from .errors import ConfigError, MissingFrequencyError, NumericError
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, WaveletCoefficients, analyze, needed_band, synthesize_series
+from .noise import _blocks
 
 __all__ = [
     "EstimatorConfig",
@@ -127,15 +128,29 @@ def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol:
     denominators, the mask of well-posed m (all read-only and C-contiguous)
     and the ill-posed frequencies.  The cutoff and the ill-posed list are
     taken over the full alias-free band whatever ``band`` is, so a narrower
-    band returns a slice of the full one.  Raises NumericError when a
-    denominator is not finite (|g|^2 overflows).
+    band returns a slice of the full one.  The full band is walked in blocks
+    of M x cols kernel values (``noise._blocks``), cols >= 2 since np.sum adds
+    a C-ordered block's channels row by row but a single column's pairwise;
+    the band's kernel values are copied out of the blocks that cover them, so
+    each value is computed once and a band that fits one block makes one
+    ``kernel_fourier`` call.  Raises NumericError when a denominator is not
+    finite (|g|^2 overflows).
     """
     N = design.N
     full = design.alias_free_band
-    g = np.ascontiguousarray(kernel_fourier(kernel, design.u_array(), np.arange(-full, full + 1)))
+    m = np.arange(-full, full + 1)
+    u = design.u_array()
     w = (float(N) ** (-2.0 * design.d_array()))[:, None]
-    with np.errstate(over="ignore"):
-        denom = np.sum(w * np.abs(g) ** 2, axis=0)
+    denom = np.empty(m.size)
+    keep = slice(full - band, full + band + 1)
+    g_band = np.empty((design.M, 2 * band + 1), dtype=complex)
+    for cols in _blocks(m.size, design.M, least=2):
+        g = np.ascontiguousarray(kernel_fourier(kernel, u, m[cols]))
+        with np.errstate(over="ignore"):
+            denom[cols] = np.sum(w * np.abs(g) ** 2, axis=0)
+        lo, hi = max(cols.start, keep.start), min(cols.stop, keep.stop)
+        if lo < hi:
+            g_band[:, lo - keep.start:hi - keep.start] = g[:, lo - cols.start:hi - cols.start]
     if not np.isfinite(denom).all():
         m = int(np.flatnonzero(~np.isfinite(denom))[0]) - full
         raise NumericError(
@@ -144,8 +159,8 @@ def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol:
         )
     ok = (denom >= denom_tol * denom.max()) & (denom > 0)  # an all-zero kernel is blind
     ill_posed = tuple(int(m) - full for m in np.flatnonzero(~ok))
-    keep = slice(full - band, full + band + 1)
-    arrays = (np.ascontiguousarray(w * np.conj(g[:, keep])), denom[keep].copy(), ok[keep].copy())
+    weights = np.multiply(w, np.conj(g_band, out=g_band), out=g_band)
+    arrays = (weights, denom[keep].copy(), ok[keep].copy())
     for a in arrays:
         a.flags.writeable = False
     return arrays + (ill_posed,)
@@ -162,9 +177,11 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     policy; the list always covers the full band).  The kernel weights are
     computed once per (design, kernel, denom_tol, band) and cached; the
     values at |m| <= K are the same bits for every band >= K.  The channel
-    DFTs come from a real FFT, with y_(-m) = conj(y_m); raises NumericError
-    when one of them overflows at a frequency the band reads, or when the
-    weighted sum over the channels, or its ratio, is not finite there.
+    DFTs come from a real FFT of a block of rows at a time (``noise._blocks``),
+    of which only the columns 0..band are kept, with y_(-m) = conj(y_m);
+    raises NumericError when one of them overflows at a frequency the band
+    reads, or when the weighted sum over the channels, or its ratio, is not
+    finite there.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (design.M, design.N):
@@ -178,8 +195,10 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     # single column pairwise; so band 0 is computed as |m| <= 1 and cut
     width = min(max(band, 1), full)
     weights, denom, ok, ill_posed = _deconvolution_weights(design, kernel, denom_tol, width)
+    half = np.empty((design.M, width + 1), dtype=complex)
     with np.errstate(over="ignore"):
-        half = np.fft.rfft(y, axis=1)[:, : width + 1]
+        for rows in _blocks(design.M, design.N):
+            half[rows] = np.fft.rfft(y[rows], axis=1)[:, : width + 1]
     if not np.isfinite(half).all():
         row, m = (int(i) for i in np.argwhere(~np.isfinite(half))[0])
         raise NumericError(

@@ -41,9 +41,22 @@ __all__ = [
 # Embedding spectra below -NEG_TOL * gamma(0) reject the embedding.
 NEG_TOL = 1e-10
 DENSE_EIGEN_LIMIT = 4096
-# Embedding points per block of rows that ``_sample_rows`` draws and
-# transforms together: about 3 MB of buffers.
+# Points per block (``_blocks``): of the embedding rows that ``_sample_rows``
+# draws and transforms together (about 3 MB of buffers), and of the blurred
+# truth, the kernel weights and the channel DFTs (about 2 MB of complex
+# values each).
 _BLOCK_POINTS = 2 ** 17
+
+
+def _blocks(count: int, points_each: int, least: int = 1) -> list[slice]:
+    """Consecutive slices covering range(count), each of _BLOCK_POINTS //
+    points_each items but at least ``least``; a remainder shorter than
+    ``least`` joins the block before it."""
+    size = max(least, _BLOCK_POINTS // points_each)
+    edges = list(range(0, count, size)) + [count]
+    if len(edges) > 2 and edges[-1] - edges[-2] < least:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -232,18 +245,19 @@ def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
     """
     rows, half = sqrt_spec.shape
     m = 2 * n_points
-    block = min(rows, max(1, _BLOCK_POINTS // m))
+    blocks = _blocks(rows, m)
+    block = blocks[0].stop
     rng = np.random.default_rng(seed)
     z = np.empty((block, m))
     h = np.empty((block, half), dtype=complex)
     x = np.empty((block, m))
     out = np.empty((rows, n_points))
-    for start in range(0, rows, block):
-        stop = min(start + block, rows)
-        zb, hb, xb = z[: stop - start], h[: stop - start], x[: stop - start]
+    for b in blocks:
+        size = b.stop - b.start
+        zb, hb, xb = z[:size], h[:size], x[:size]
         rng.standard_normal(out=zb)
-        _paths_from_normals(zb, sqrt_spec[start:stop], hb, xb)
-        out[start:stop] = xb[:, :n_points]
+        _paths_from_normals(zb, sqrt_spec[b], hb, xb)
+        out[b] = xb[:, :n_points]
     return out
 
 

@@ -51,6 +51,12 @@ class TestDesignValidation:
         with pytest.raises(ConfigError):
             ChannelDesign((0.5,), (0.2,), 64, (NoiseModel.farima(0.3),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_channel_points_must_be_finite(self, bad):
+        white = (NoiseModel.white(),) * 2
+        with pytest.raises(ConfigError, match=f"^channel points must be finite, got u_l = {bad}$"):
+            ChannelDesign((0.5, bad), (0.0, 0.0), 64, white)
+
     def test_derived_quantities(self):
         design = boxcar_linear_design(2 ** 14)
         assert design.n == design.M * design.N == 2 ** 14

@@ -543,6 +543,28 @@ class TestCliValidation:
                 assert (code, *capsys.readouterr()) == (1, "", f"config error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("u_rule, d_rule, bad", [
+        ("{{kind: equispaced, a: .nan, b: 1.0}}", "{{kind: constant, value: 0.1}}", "nan"),
+        ("{{kind: equispaced, a: .nan, b: 1.0}}", "{{kind: linear, a1: 0.2, a2: 0.1}}", "nan"),
+        ("{{kind: equispaced, a: 0.0, b: .inf}}", "{{kind: constant, value: 0.0}}", "inf"),
+        ("{{kind: equispaced, a: -.inf, b: 0.0}}", "{{kind: linear, a1: 0.2, a2: 0.1}}", "nan"),
+    ], ids=["nan-constant-d", "nan-linear-d", "inf", "minus-inf-linear-d"])
+    def test_non_finite_channel_point_exits_1_at_load(self, tmp_path, capsys, u_rule, d_rule,
+                                                      bad):
+        # a constant d once simulated rows of nan, and a linear d blamed d
+        base = "u_rule: {{kind: equispaced, a: 0.0, b: 1.0}}\n" \
+            "  d_rule: {{kind: linear, a1: 0.2, a2: 0.1}}"
+        assert base in BASE_CONFIG
+        path, out = write_config(tmp_path, BASE_CONFIG.replace(
+            base, f"u_rule: {u_rule}\n  d_rule: {d_rule}"))
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), *dry_run])
+                assert (code, *capsys.readouterr()) == (
+                    1, "", "config error: design.u_rule must give finite channel points, "
+                           f"got u_l = {bad}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale, value", [(".inf", math.inf), ("1.0e+200", 1e200)])
     def test_noise_scale_without_a_finite_square_exits_1_at_load(self, tmp_path, capsys,
                                                                  scale, value):
@@ -1131,6 +1153,23 @@ class TestBenchCommand:
         covered, _ = write_config(tmp_path, text + "bench:\n  n_grid: [16384]\n  reps: 30\n",
                                   name="covered.yaml")
         assert main(["bench", "--dry-run", "--config", str(covered)]) == 0
+
+    def test_table_coverage_check_evaluates_no_kernel_value(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # it once built the M x (N - 1) kernel matrix only to raise on a gap
+        m = np.arange(-2047, 2048)
+        bench = "bench:\n  n_grid: [16384]\n  reps: 30\n"
+        calls = []
+        monkeypatch.setattr("lrdeconv.channels._table_lookup", lambda *a: calls.append(a))
+        for u, code, err in (([0.25, 0.5, 0.75, 1.0], 0, ""),
+                             ([0.25, 0.5, 0.75, 0.9], 1,
+                              "config error: kernel table has no column for u = 1.0\n")):
+            table = tmp_path / "kernel.txt"
+            save_kernel_table(table, m, u, np.ones((m.size, 4)))
+            path, _ = write_config(tmp_path, FINE_CONFIG.replace("{table}", str(table)) + bench)
+            assert main(["bench", "--dry-run", "--config", str(path)]) == code
+            assert capsys.readouterr().err == err
+        assert calls == []
 
 
 class TestEigencheckCommand:
