@@ -196,7 +196,7 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     width = min(max(band, 1), full)
     weights, denom, ok, ill_posed = _deconvolution_weights(design, kernel, denom_tol, width)
     half = np.empty((design.M, width + 1), dtype=complex)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in an overflowing row
         for rows in _blocks(design.M, design.N):
             half[rows] = np.fft.rfft(y[rows], axis=1)[:, : width + 1]
     if not np.isfinite(half).all():

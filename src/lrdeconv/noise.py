@@ -15,13 +15,18 @@ The embedding is nonnegative for FARIMA(0, d, 0) and fGn with 0 <= d < 1/2
 (Craigmile, 2003); a covariance whose embedding spectrum falls below
 -NEG_TOL * gamma(0) raises NumericError instead of being sampled.  The paths
 of one call share one generator: path l takes the l-th run of 2N standard
-normals of default_rng(seed).
+normals of default_rng(seed).  A call of more than one block draws the next
+block's normals on the process's one helper thread while it transforms the
+current block, when no other call holds that thread; the draws run one
+after another, so the bits are those of drawing inline.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +47,8 @@ __all__ = [
 NEG_TOL = 1e-10
 DENSE_EIGEN_LIMIT = 4096
 # Points per block (``_blocks``): of the embedding rows that ``_sample_rows``
-# draws and transforms together (about 3 MB of buffers), and of the blurred
+# draws and transforms together (about 4 MB of buffers: two of normals, the
+# complex half and the transform), and of the blurred
 # truth, the kernel weights and the channel DFTs (about 2 MB of complex
 # values each).
 _BLOCK_POINTS = 2 ** 17
@@ -235,29 +241,68 @@ def _paths_from_normals(z: np.ndarray, sqrt_spec: np.ndarray, h: np.ndarray,
     return np.fft.irfft(h, n=2 * n, axis=1, norm="forward", out=x)
 
 
+# The one helper thread of the process that draws the normals of a block
+# while its caller transforms the one before (``_sample_rows``).  It is made
+# on first use by a call holding ``_draws_lock``, which gives it to one call
+# at a time.
+_draws = None
+_draws_lock = threading.Lock()
+
+
+def _draw_helper() -> ThreadPoolExecutor:
+    global _draws
+    if _draws is None:
+        _draws = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lrdeconv-draws")
+    return _draws
+
+
 def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
     """Row i: the first n_points of the (N + 1)-point circulant-embedding draw
     with spectrum sqrt_spec[i] and weights from normals 2N i .. 2N (i + 1) - 1
     of the one generator default_rng(seed) (``_paths_from_normals``).  Rows
     are drawn and transformed a block at a time, in buffers small enough to
-    stay in cache between the draws, the assembly and the FFT; the stream
-    fills in order, so the bits do not depend on the block size.
+    stay in cache between the draws, the assembly and the FFT.
+
+    With more than one block, the process's helper thread, when no other call
+    holds it, draws block b + 1 into the second normals buffer while this
+    thread transforms block b; a call that finds it busy, or whose rows fit
+    one block, draws inline.  Each draw starts only after the one before it
+    has finished, so the stream fills in order and the bits depend neither on
+    the block size nor on which thread drew.
     """
     rows, half = sqrt_spec.shape
     m = 2 * n_points
     blocks = _blocks(rows, m)
     block = blocks[0].stop
     rng = np.random.default_rng(seed)
-    z = np.empty((block, m))
     h = np.empty((block, half), dtype=complex)
     x = np.empty((block, m))
     out = np.empty((rows, n_points))
-    for b in blocks:
-        size = b.stop - b.start
-        zb, hb, xb = z[:size], h[:size], x[:size]
-        rng.standard_normal(out=zb)
-        _paths_from_normals(zb, sqrt_spec[b], hb, xb)
-        out[b] = xb[:, :n_points]
+    overlap = len(blocks) > 1 and _draws_lock.acquire(blocking=False)
+    pending = None
+    try:
+        z = np.empty((1 + overlap, block, m))  # the normals of block b in z[b % len(z)]
+
+        def draw(b: int):
+            rng.standard_normal(out=z[b % len(z), : blocks[b].stop - blocks[b].start])
+
+        if overlap:
+            helper = _draw_helper()
+            pending = helper.submit(draw, 0)
+        for i, b in enumerate(blocks):
+            if overlap:
+                pending.result()
+                pending = helper.submit(draw, i + 1) if i + 1 < len(blocks) else None
+            else:
+                draw(i)
+            size = b.stop - b.start
+            _paths_from_normals(z[i % len(z), :size], sqrt_spec[b], h[:size], x[:size])
+            out[b] = x[:size, :n_points]
+    finally:
+        if overlap:
+            if pending is not None:  # an error left a draw running into z
+                wait([pending])
+            _draws_lock.release()
     return out
 
 

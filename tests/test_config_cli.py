@@ -743,6 +743,22 @@ class TestKernelInputs:
         assert captured.err.startswith("numeric error: channel DFT")
         assert not (out / "fhat_grid.csv").exists()
 
+    def test_overflowing_channel_dft_prints_one_line(self, tmp_path):
+        # inf - inf inside the real FFT of a 1e308 row gives no numpy warning on
+        # stderr, in a process without pytest's warning filters
+        config = str(CONFIGS / "noiseless-exact.yaml")  # M = 1, N = 1024
+        out = tmp_path / "out"
+        proc = run_cli(["simulate", "--config", config, "--out", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        header = [line for line in (out / "y.csv").read_text().splitlines(keepends=True)
+                  if line.startswith("#")]
+        (out / "y.csv").write_text("".join(header) + ",".join(["1e308"] * 1024) + "\n")
+        proc = run_cli(["estimate", "--config", config, "--out", str(out)], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "numeric error: channel DFT: the DFT of row 0 of y is not finite at m = 0 "
+                   "(N = 1024); the observations are too large\n")
+        assert not (out / "fhat_grid.csv").exists()
+
     def test_overflowing_channel_sum_exits_2_without_an_estimate(self, tmp_path, capsys):
         # finite channel DFTs (9.6e307) whose weighted sum over 512 channels overflows
         text = BASE_CONFIG.replace("m_rule: power", "m_rule: fixed\n  M: 512").replace(

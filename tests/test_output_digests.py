@@ -1,7 +1,9 @@
 """Byte identity of the command line outputs for a fixed (config, seed): the
 sha256 of every output file, of stdout and of stderr, and the exit code of
 
-* ``simulate`` then ``estimate`` on each shipped config, and
+* ``simulate`` then ``estimate`` on each shipped config,
+* the same on perfbench's ``fine-levels`` config, the one estimate that
+  thresholds, with its kernel table written into a temporary directory,
 * ``bench`` at ``--threads 1`` and at ``--threads 2`` on a two-point
   ``boxcar-regular`` grid with ``reps: 30``,
 
@@ -24,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -32,10 +35,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lrdeconv.channels import save_kernel_table
 from lrdeconv.cli import main
+from lrdeconv.config import design_for_n, load_config
 
 TABLE = Path(__file__).resolve().parent / "output_digests.json"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FINE_LEVELS = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "fine-levels.yaml"
 SHIPPED = ("boxcar-regular", "heat-supersmooth-d0", "heat-supersmooth-d04", "noiseless-exact")
 BENCH_GRID = ("  n_grid: [16384, 32768]\n  reps: 30\n")
 PROGRESS_SECONDS = re.compile(r" \d+\.\d+ s$", re.MULTILINE)
@@ -64,10 +70,30 @@ def run(argv: list[str], out: Path) -> dict:
     }
 
 
-def simulate_then_estimate(name: str, tmp: Path) -> list[dict]:
-    config = str(CONFIGS / f"{name}.yaml")
-    out = tmp / "out"
-    return [run([command, "--config", config], out) for command in ("simulate", "estimate")]
+def simulate_then_estimate(config: Path, tmp: Path) -> list[dict]:
+    return [run([command, "--config", str(config)], tmp / "out")
+            for command in ("simulate", "estimate")]
+
+
+def fine_levels(tmp: Path) -> list[dict]:
+    """The fine-levels config with its table g_m(u_l) = (1 + |m|)^(-1/2)
+    exp(-i pi m u_l / 2) over |m| <= N/2 - 1 at ``kernel.txt``, run from
+    ``tmp`` so that the config, and so its hash, names no directory."""
+    config = tmp / "fine-levels.yaml"
+    config.write_text(re.sub(r"table_path: .*", "table_path: kernel.txt",
+                             FINE_LEVELS.read_text()))
+    cfg = load_config(config)
+    design = design_for_n(cfg, int(cfg.design["n"]))
+    m = np.arange(1 - design.N // 2, design.N // 2)
+    u = np.asarray(design.u)[:, None]
+    save_kernel_table(tmp / "kernel.txt", m, design.u,
+                      ((1.0 + np.abs(m)) ** -0.5 * np.exp(-0.5j * np.pi * m * u)).T)
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        return simulate_then_estimate(config, tmp)
+    finally:
+        os.chdir(cwd)
 
 
 def bench(threads: int, tmp: Path) -> list[dict]:
@@ -79,7 +105,9 @@ def bench(threads: int, tmp: Path) -> list[dict]:
 
 
 CASES = {
-    **{name: lambda tmp, name=name: simulate_then_estimate(name, tmp) for name in SHIPPED},
+    **{name: lambda tmp, name=name: simulate_then_estimate(CONFIGS / f"{name}.yaml", tmp)
+       for name in SHIPPED},
+    "fine-levels": fine_levels,
     "bench-threads-1": lambda tmp: bench(1, tmp),
     "bench-threads-2": lambda tmp: bench(2, tmp),
 }
