@@ -405,8 +405,10 @@ def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> K
 
     Two templates are fitted by least squares on log tau_1: a regular one in
     {1, log m, log log m} and a super-smooth one in {1, log m, m^beta} over a
-    beta grid. The regime is the template with decisively smaller residual.
-    The exponent convention is tau_1 ~ |m|^(-nu), matching the rate formulas.
+    beta grid. The regime is the template with decisively smaller residual,
+    super-smooth only when its term alpha m^beta moves log tau_1 by at least one
+    e-fold over the fitted frequencies.  The exponent convention is
+    tau_1 ~ |m|^(-nu), matching the rate formulas.
     """
     m = fit_frequencies(m_range)
     t1 = tau_kappa(design, kernel, m, 1)
@@ -450,7 +452,7 @@ def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> K
     if y_spread <= 1e-12:
         # flat tau_1: no decay at all
         return KernelFit(0.0, 0.0, 0.0, beta_ss, "regular", 0.0, rss_reg, rss_ss)
-    if rss_ss < 0.25 * rss_reg and alpha_ss > 0:
+    if rss_ss < 0.25 * rss_reg and alpha_ss * (m.max() ** beta_ss - m.min() ** beta_ss) >= 1:
         return KernelFit(float(nu_ss), 0.0, float(alpha_ss), beta_ss,
                          "supersmooth", rss_ss, rss_reg, rss_ss)
     return KernelFit(float(nu_reg), float(lam_reg), 0.0, beta_ss,

@@ -36,7 +36,6 @@ from .errors import ConfigError, NumericError, SizeLimitError
 __all__ = [
     "NoiseModel",
     "CovarianceSummary",
-    "spectral_density",
     "autocovariance",
     "sample_path",
     "sample_paths",
@@ -120,44 +119,9 @@ class CovarianceSummary:
     ratio_max: float
 
 
-def spectral_density(model: NoiseModel, lam) -> np.ndarray:
-    """Spectral density a(lambda) on [-pi, pi].
-
-    White, and every family at d = 0: scale^2 / (2 pi).  FARIMA(0,d,0):
-    (scale^2 / 2 pi) |2 (1 - cos lambda)|^(-d).  fGn: the classical
-    4 sin^2(lambda/2) * sum_k |k + lambda/(2 pi)|^(-2H-1) series, evaluated
-    exactly through Hurwitz zeta functions.
-    """
-    lam_arr = np.asarray(lam, dtype=float)
-    if np.any(np.abs(lam_arr) > np.pi + 1e-12):
-        raise ConfigError("spectral density defined on [-pi, pi] only")
-    if model.d > 0 and np.any(lam_arr == 0.0):
-        raise NumericError("spectral density has a pole at lambda = 0 when d > 0")
-
-    sigma2 = model.scale ** 2
-    if model.kind == "white" or model.d == 0.0:
-        out = np.full_like(lam_arr, sigma2 / (2 * np.pi))
-        return out if out.shape else float(out)
-
-    if model.kind == "farima":
-        out = sigma2 / (2 * np.pi) * np.abs(2.0 * (1.0 - np.cos(lam_arr))) ** (-model.d)
-        return out if out.shape else float(out)
-
-    from scipy import special  # only here, so that simulate, estimate and bench never load it
-
-    # fGn: sum_{k in Z} |k + x|^(-s) = zeta(s, x) + zeta(s, 1 - x), x in (0, 1/2]
-    # (d > 0 here, so lambda = 0 was rejected above as the pole)
-    H = model.hurst
-    s = 2 * H + 1
-    x = np.abs(lam_arr) / (2 * np.pi)
-    series = special.zeta(s, x) + special.zeta(s, 1.0 - x)
-    const = sigma2 * (2 * np.pi) ** (-2 * H - 2) * special.gamma(2 * H + 1) * np.sin(np.pi * H)
-    out = const * 4.0 * np.sin(lam_arr / 2.0) ** 2 * series
-    return out if out.shape else float(out)
-
-
 def autocovariance(model: NoiseModel, lag) -> np.ndarray:
-    """Autocovariance gamma(lag) at integer lags, consistent with ``spectral_density``.
+    """Autocovariance gamma(lag) at integer lags: the integral of
+    cos(lag lambda) a(lambda) over [-pi, pi], a the spectral density.
 
     fGn: gamma(k) = (scale^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).  White and
     FARIMA(0, d, 0), d = 0 included: gamma(0) = scale^2 G(1-2d) / G(1-d)^2 and
@@ -342,10 +306,9 @@ def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary
         raise SizeLimitError(
             f"dense eigensolve limited to N <= {DENSE_EIGEN_LIMIT}, got {n_points}"
         )
-    from scipy import linalg
-
-    gamma = np.asarray(autocovariance(model, np.arange(n_points)), dtype=float)
-    eigs = linalg.eigvalsh(linalg.toeplitz(gamma))
+    lags = np.arange(n_points)
+    gamma = autocovariance(model, lags)
+    eigs = np.linalg.eigvalsh(gamma[np.abs(lags[:, None] - lags)])
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     norm = float(n_points) ** (2 * model.d)
     return CovarianceSummary(n_points, lam_min, lam_max, lam_min / norm, lam_max / norm)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from testkit import boxcar_linear_design, record_acceptance
+from testkit import boxcar_linear_design, record_acceptance, spectral_density
 from lrdeconv.channels import (
     BlurKernel,
     boxcar_S_closed_form,
@@ -43,7 +43,7 @@ from lrdeconv.estimator import (
 )
 from lrdeconv.fourier import FourierSeries
 from lrdeconv.meyer import MeyerSpec, analyze, frequency_set, periodized_coeff
-from lrdeconv.noise import NoiseModel, spectral_density, toeplitz_eigen_bounds
+from lrdeconv.noise import NoiseModel, toeplitz_eigen_bounds
 from lrdeconv.riskbench import fit_rate, mc_risk
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

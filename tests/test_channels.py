@@ -506,3 +506,25 @@ class TestCharacterize:
     def test_octave_required(self):
         with pytest.raises(ConfigError):
             characterize_kernel(single_channel(), flat_kernel(), range(8, 12))
+
+    @pytest.mark.parametrize("u, regime", [
+        (np.arange(1, 256) / 256, "regular"),  # u_max = 0.996: alpha = 3e-5, 0.11 e-folds
+        (0.99 * np.arange(1, 257) / 256, "regular"),  # 0.78 e-folds
+        (0.985 * np.arange(1, 257) / 256, "supersmooth"),  # 1.4 e-folds
+        (np.linspace(0.5, 0.9, 256), "supersmooth"),  # 12 e-folds
+        (np.linspace(0.2, 0.8, 256), "supersmooth"),  # 27 e-folds
+    ], ids=["probe", "below-floor", "above-floor", "u-0.5-0.9", "u-0.2-0.8"])
+    def test_dirichlet_supersmooth_needs_one_e_fold(self, u, regime):
+        # every design here fits the super-smooth template decisively better; the
+        # verdict is super-smooth only when alpha m^beta moves log tau_1 by an
+        # e-fold or more between the fitted frequencies 4 and 64
+        d = tuple(0.2 * float(x) + 0.1 for x in u)
+        design = ChannelDesign(tuple(float(x) for x in u), d, 256,
+                               tuple(NoiseModel.farima(dl) for dl in d))
+        fit = characterize_kernel(design, BlurKernel("dirichlet"), range(4, 65))
+        assert fit.residual_supersmooth < 0.25 * fit.residual_regular
+        assert fit.regime == regime
+        if regime == "supersmooth":
+            assert fit.alpha * (64 ** fit.beta - 4 ** fit.beta) >= 1
+        else:
+            assert fit.alpha == 0.0 and fit.residual == fit.residual_regular

@@ -18,6 +18,7 @@ from lrdeconv.cli import COMMANDS, _load_y, main
 from lrdeconv.config import (
     build_bench,
     build_design,
+    build_eigencheck,
     build_estimator_config,
     build_kernel,
     build_truth,
@@ -816,18 +817,26 @@ def test_supersmooth_override_dry_run(tmp_path, capsys):
     assert capsys.readouterr().out == "estimate: n*=65536 j0=1 J=4\n"
 
 
-def test_estimate_and_dry_runs_do_not_import_scipy(tmp_path):
-    # FARIMA noise needs no scipy; only eigencheck and the fGn spectral density do
-    path, _ = write_config(tmp_path, BASE_CONFIG)
+def test_every_command_runs_without_scipy(tmp_path):
+    # the package needs numpy and PyYAML only: with scipy unimportable, every
+    # command exits 0, eigencheck on FARIMA and fGn models included
+    text = BASE_CONFIG.replace("  n_list: [64, 128, 256]\n",
+                               "    - {{kind: fgn, hurst: 0.6, scale: 1.0}}\n"
+                               "    - {{kind: fgn, hurst: 0.9, scale: 1.0}}\n"
+                               "  n_list: [64, 128]\n")
+    path, _ = write_config(tmp_path, text)
+    assert [m.kind for m in build_eigencheck(load_config(path))[0]] == [
+        "white", "farima", "fgn", "fgn"]
     probe = ("import sys\n"
+             "sys.modules['scipy'] = None\n"
              "from lrdeconv.cli import main\n"
-             "code = main(sys.argv[1:])\n"
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    for args in (["simulate"], ["estimate"], ["estimate", "--dry-run"], ["bench", "--dry-run"],
-                 ["bench"]):
-        proc = run_python(["-c", probe, *args, "--config", str(path)], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []", args
+             "print(main(sys.argv[1:]))\n")
+    for command in COMMANDS:
+        for dry_run in ([], ["--dry-run"]):
+            args = [command, *dry_run, "--config", str(path)]
+            proc = run_python(["-c", probe, *args], tmp_path)
+            assert proc.returncode == 0, (args, proc.stderr)
+            assert proc.stdout.splitlines()[-1] == "0", args
 
 
 class TestSimulateEstimate:

@@ -17,9 +17,9 @@ from lrdeconv.noise import (
     autocovariance,
     sample_path,
     sample_paths,
-    spectral_density,
     toeplitz_eigen_bounds,
 )
+from testkit import spectral_density
 
 
 class TestModelValidation:
@@ -271,6 +271,19 @@ class TestToeplitzEigenBounds:
         lams = [toeplitz_eigen_bounds(model, n).lambda_max for n in ns]
         slope = np.polyfit(np.log(ns), np.log(lams), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.15)
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("model", [
+        NoiseModel.white(1.3), NoiseModel.farima(0.1), NoiseModel.farima(0.25),
+        NoiseModel.farima(0.45), NoiseModel.fgn(hurst=0.6), NoiseModel.fgn(hurst=0.9),
+    ], ids=lambda m: f"{m.kind}-d{m.d:g}")
+    def test_extremes_match_scipy(self, model, n):
+        # the index-gathered matrix and numpy's eigvalsh against scipy's toeplitz
+        # and eigvalsh
+        eigs = linalg.eigvalsh(linalg.toeplitz(autocovariance(model, np.arange(n))))
+        s = toeplitz_eigen_bounds(model, n)
+        assert s.lambda_min == pytest.approx(eigs[0], rel=1e-13, abs=0)
+        assert s.lambda_max == pytest.approx(eigs[-1], rel=1e-13, abs=0)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
