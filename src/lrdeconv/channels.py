@@ -12,9 +12,9 @@ noise drawn independently from its NoiseModel.
 
 Design functionals:
 
-    tau_kappa(m, n)  = M^-1 sum_l N^(-2 kappa d_l) |g_m(u_l)|^(2 kappa)
-    delta_kappa(j,n) = |C_j|^-1 sum_{m in C_j} tau_kappa(m,n) tau_1(m,n)^(-2 kappa)
-    eps_n            = M^-1 sum_l N^(-2 d_l),    n* = n * eps_n
+    tau_1(m, n)   = M^-1 sum_l N^(-2 d_l) |g_m(u_l)|^2
+    Delta_1(j, n) = |C_j|^-1 sum_{m in C_j} tau_1(m, n)^-1
+    eps_n         = M^-1 sum_l N^(-2 d_l),    n* = n * eps_n
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ __all__ = [
     "require_alias_free",
     "require_kernel_band",
     "simulate_observations",
-    "tau_kappa",
-    "delta_kappa",
+    "tau_1",
+    "delta_1",
     "epsilon_n",
     "boxcar_S_closed_form",
     "characterize_kernel",
@@ -113,15 +113,6 @@ class ChannelDesign:
         return self.N * self.M
 
     @property
-    def d_star(self) -> float:
-        return max(self.d)
-
-    @property
-    def theta(self) -> float:
-        """log M / log n, the channel-growth diagnostic."""
-        return math.log(self.M) / math.log(self.n)
-
-    @property
     def alias_free_band(self) -> int:
         """N/2 - 1: the largest |m| whose channel DFT does not alias."""
         return self.N // 2 - 1
@@ -171,10 +162,6 @@ class BlurKernel:
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         return self.q[0] + self.q[1] * np.asarray(u, dtype=float)
-
-    def weight_bounds(self, u: np.ndarray) -> tuple[float, float]:
-        q = self.weight(u)
-        return float(q.min()), float(q.max())
 
 
 @dataclass(frozen=True)
@@ -328,29 +315,25 @@ def _blurred_truth(band: int, values: bytes, design: ChannelDesign,
     return signal
 
 
-def tau_kappa(design: ChannelDesign, kernel: BlurKernel, m, kappa: int) -> np.ndarray:
-    """M^-1 sum_l N^(-2 kappa d_l) |g_m(u_l)|^(2 kappa)."""
-    if kappa not in (1, 2, 4):
-        raise ConfigError("kappa must be 1, 2 or 4")
+def tau_1(design: ChannelDesign, kernel: BlurKernel, m) -> np.ndarray:
+    """M^-1 sum_l N^(-2 d_l) |g_m(u_l)|^2."""
     g = kernel_fourier(kernel, design.u_array(), np.atleast_1d(m))
-    weights = float(design.N) ** (-2.0 * kappa * design.d_array())
-    out = (weights[:, None] * np.abs(g) ** (2 * kappa)).mean(axis=0)
+    weights = float(design.N) ** (-2.0 * design.d_array())
+    out = (weights[:, None] * np.abs(g) ** 2).mean(axis=0)
     return float(out[0]) if np.isscalar(m) else out
 
 
-def delta_kappa(design: ChannelDesign, kernel: BlurKernel, j: int, kappa: int) -> float:
-    """|C_j|^-1 sum_{m in C_j} tau_kappa(m,n) [tau_1(m,n)]^(-2 kappa)."""
-    if kappa not in (1, 2):
-        raise ConfigError("kappa must be 1 or 2")
+def delta_1(design: ChannelDesign, kernel: BlurKernel, j: int) -> float:
+    """|C_j|^-1 sum_{m in C_j} tau_1(m,n)^-1, each term formed as
+    tau_1 tau_1^-2: Pensky and Sapatinas's Delta_kappa at kappa = 1."""
     members = frequency_set(MeyerSpec(0, 0), j).members
-    t1 = tau_kappa(design, kernel, members, 1)
+    t1 = tau_1(design, kernel, members)
     if np.any(t1 <= TAU_FLOOR):
         bad = members[t1 <= TAU_FLOOR]
         raise IllPosedFrequencyError(
             f"tau_1 vanishes on C_{j} at m in {bad[:8].tolist()}; level is ill-posed"
         )
-    tk = t1 if kappa == 1 else tau_kappa(design, kernel, members, kappa)
-    return float(np.mean(tk * t1 ** (-2.0 * kappa)))
+    return float(np.mean(t1 * t1 ** -2.0))
 
 
 def epsilon_n(design: ChannelDesign) -> tuple[float, float]:
@@ -411,7 +394,7 @@ def characterize_kernel(design: ChannelDesign, kernel: BlurKernel, m_range) -> K
     tau_1 ~ |m|^(-nu), matching the rate formulas.
     """
     m = fit_frequencies(m_range)
-    t1 = tau_kappa(design, kernel, m, 1)
+    t1 = tau_1(design, kernel, m)
     keep = t1 > TAU_FLOOR
     if not np.any(keep):
         raise DegenerateFitError("tau_1 is identically zero over the requested range")

@@ -168,8 +168,7 @@ def _noise_model(spec: dict, section: str) -> NoiseModel:
             raise ConfigError(f"{section}: give d or hurst, not both (hurst = d + 1/2)")
         return NoiseModel.fgn(float(spec["hurst"]), scale)
     if kind in ("farima", "fgn"):
-        d = float(_require(spec, "d", section))
-        return NoiseModel.fgn(d + 0.5, scale) if kind == "fgn" else NoiseModel(kind, d, scale)
+        return NoiseModel(kind, float(_require(spec, "d", section)), scale)
     return NoiseModel(kind, float(spec.get("d", 0.0)), scale)  # rejects white with d > 0
 
 

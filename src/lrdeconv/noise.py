@@ -37,7 +37,6 @@ __all__ = [
     "NoiseModel",
     "CovarianceSummary",
     "autocovariance",
-    "sample_path",
     "sample_paths",
     "toeplitz_eigen_bounds",
 ]
@@ -270,20 +269,14 @@ def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
     return out
 
 
-def sample_path(model: NoiseModel, n_points: int, seed) -> np.ndarray:
-    """One exact draw from N(0, [gamma(j-k)]), deterministic in (model, n, seed):
-    row 0 of ``sample_paths([model], n_points, seed)``."""
-    return sample_paths((model,), n_points, seed)[0]
-
-
 def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
     """Independent rows, one per model, from one generator stream.
 
     The rows take consecutive runs of 2N standard normals from
     default_rng(master_seed): row l takes normals 2N l .. 2N (l + 1) - 1.
     So the result is deterministic in (models, N, master_seed), whatever the
-    block size, and row 0 is ``sample_path(models[0], N, master_seed)``.
-    No models give a (0, N) array.
+    block size, and each row is an exact draw from N(0, [gamma(j-k)]) of its
+    model.  No models give a (0, N) array.
     """
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")

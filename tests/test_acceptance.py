@@ -22,7 +22,7 @@ from testkit import boxcar_linear_design, record_acceptance, spectral_density
 from lrdeconv.channels import (
     BlurKernel,
     boxcar_S_closed_form,
-    delta_kappa,
+    delta_1,
     epsilon_n,
     simulate_observations,
 )
@@ -198,7 +198,7 @@ class TestCriterion4VarianceBound:
         for j, rows in acc.items():
             B = np.asarray(rows)
             ratios[j] = float(B.var(axis=0, ddof=1).mean()
-                              / (delta_kappa(design, kernel, j, 1) / design.n))
+                              / (delta_1(design, kernel, j) / design.n))
         finite = all(np.isfinite(r) and r > 0 for r in ratios.values())
         spread = max(ratios.values()) / min(ratios.values())
         ok = finite and spread < 5.0

@@ -17,12 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrdeconv import channels, estimator, noise
-from lrdeconv.channels import BlurKernel, ChannelDesign, _blurred_truth, kernel_fourier
+from lrdeconv.channels import BlurKernel, _blurred_truth, kernel_fourier
 from lrdeconv.errors import ConfigError, NumericError
 from lrdeconv.estimator import _deconvolution_weights, fourier_deconvolve
 from lrdeconv.fourier import FourierSeries
-from lrdeconv.noise import NoiseModel
-from testkit import boxcar_linear_design
+from testkit import bits, boxcar_linear_design, make_design, make_kernel
 
 KINDS = ("boxcar", "heat", "dirichlet", "table")
 MB = 2 ** 20
@@ -86,25 +85,6 @@ def reference_fourier_deconvolve(y, design, kernel, denom_tol, band):
 
 # ------------------------------------------------------------- builders
 
-def make_design(u, d, N):
-    noise_models = tuple(NoiseModel.farima(dl) for dl in d)
-    return ChannelDesign(tuple(u), tuple(d), N, noise_models)
-
-
-def make_kernel(kind, u, N, seed):
-    """A kernel of ``kind``; a table covers the full band of N in shuffled rows
-    scaled over 12 decades."""
-    if kind != "table":
-        return BlurKernel(kind, c=0.9, q=(1.0, 0.5))
-    rng = np.random.default_rng(seed)
-    band = N // 2 - 1
-    m_rows = rng.permutation(np.arange(-band, band + 1))
-    g = rng.normal(size=(m_rows.size, len(u))) + 1j * rng.normal(size=(m_rows.size, len(u)))
-    g *= 10.0 ** rng.uniform(-8.0, 4.0, size=(m_rows.size, 1))
-    return BlurKernel("table", table_m=tuple(int(m) for m in m_rows), table_u=tuple(u),
-                      table_g=tuple(g.ravel().tolist()))
-
-
 def channel_points(kind, M):
     if kind == "heat":
         return [0.05 * l / M for l in range(M)]  # u = 0 included
@@ -128,10 +108,6 @@ def cases(draw):
     u = channel_points(kind, M)
     y = np.random.default_rng(seed).normal(size=(M, N))
     return make_design(u, d, N), make_kernel(kind, u, N, seed), band, y, block
-
-
-def bits(a):
-    return np.ascontiguousarray(a).tobytes()
 
 
 def blocked(block):

@@ -31,7 +31,9 @@ from lrdeconv.config import (
 )
 from lrdeconv.errors import ConfigError
 from lrdeconv.estimator import EstimatorConfig, plan
+from lrdeconv.noise import NoiseModel, autocovariance
 from lrdeconv.riskbench import MIN_REPS, BesovBall, RiskReport, mc_risk
+from testkit import bits
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -284,6 +286,33 @@ class TestConfigRoundTrip:
         assert design.M == design.N == 64
         assert design.u[-1] == pytest.approx(1.0)
         assert design.d[0] == pytest.approx(0.2 / 64 + 0.1)
+
+    def test_explicit_d_rule_loads_its_values(self, tmp_path, capsys):
+        # M = 32 at n = 1024 and at n = 2048
+        values = [round(0.01 + 0.0137 * l, 4) for l in range(32)]
+        text = BASE_CONFIG.replace("d_rule: {{kind: linear, a1: 0.2, a2: 0.1}}",
+                                   f"d_rule: {{{{kind: explicit, values: {values}}}}}")
+        text = text.replace("n_grid: [1024, 4096, 16384, 65536]", "n_grid: [1024, 2048]")
+        path, out = write_config(tmp_path, text)
+        cfg = load_config(path)
+        for n in (1024, 2048):
+            design = design_for_n(cfg, n)
+            assert design.d == tuple(values)
+            assert design.noise == tuple(NoiseModel.farima(dl) for dl in values)
+        assert main(["simulate", "--dry-run", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "simulate: M=32 N=32 n=1024 band=8\n"
+        assert not out.exists()
+
+    def test_fgn_given_by_d_keeps_its_d(self, tmp_path):
+        # d once went through H = d + 1/2 and back: d = 0.1 came back as
+        # 0.09999999999999998; the autocovariance, a function of H, is unchanged
+        text = BASE_CONFIG.replace("noise:\n  kind: farima", "noise:\n  kind: fgn")
+        design = design_for_n(load_config(write_config(tmp_path, text)[0]), 4096)
+        assert [model.d for model in design.noise] == list(design.d)
+        lags = np.arange(128)
+        for model in design.noise:
+            assert bits(autocovariance(model, lags)) == bits(
+                autocovariance(NoiseModel.fgn(model.d + 0.5), lags))
 
     def test_white_noise_requires_d_zero(self, tmp_path):
         text = BASE_CONFIG.replace("kind: farima", "kind: white")
@@ -564,6 +593,23 @@ class TestCliValidation:
                 assert (code, *capsys.readouterr()) == (
                     1, "", "config error: design.u_rule must give finite channel points, "
                            f"got u_l = {bad}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count, n_grid, M", [
+        (31, "[1024, 2048]", 32),  # M = 32 at design.n
+        (32, "[1024, 4096]", 64),  # M = 64 at the grid point 4096
+    ])
+    def test_explicit_d_rule_of_another_length_exits_1_at_load(self, tmp_path, capsys, count,
+                                                              n_grid, M):
+        text = BASE_CONFIG.replace("d_rule: {{kind: linear, a1: 0.2, a2: 0.1}}",
+                                   f"d_rule: {{{{kind: explicit, values: {[0.1] * count}}}}}")
+        text = text.replace("n_grid: [1024, 4096, 16384, 65536]", f"n_grid: {n_grid}")
+        path, out = write_config(tmp_path, text)
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), *dry_run])
+                assert (code, *capsys.readouterr()) == (
+                    1, "", f"config error: d_rule.values must have M = {M} entries\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("scale, value", [(".inf", math.inf), ("1.0e+200", 1e200)])
@@ -1257,6 +1303,19 @@ class TestEigencheckCommand:
         assert main(["eigencheck", "--config", str(bad)]) == 1
         assert capsys.readouterr().err == "config error: unknown keys in 'kernel': ['bogus']\n"
         assert not out.exists()
+
+    def test_fgn_given_by_d_writes_its_two_d(self, tmp_path):
+        # d = 0.1 once came back from H = 0.6 as 0.09999999999999998, and the
+        # two_d cell read 0.19999999999999996
+        text = BASE_CONFIG.replace("{{kind: farima, d: 0.25, scale: 1.0}}",
+                                   "{{kind: fgn, d: 0.1, scale: 1.0}}")
+        path, out = write_config(tmp_path, text)
+        models, _ = build_eigencheck(load_config(path))
+        assert [(model.kind, model.d) for model in models] == [("white", 0.0), ("fgn", 0.1)]
+        assert main(["eigencheck", "--config", str(path)]) == 0
+        rows = [line.split(",") for line in (out / "eigen_slopes.csv").read_text().splitlines()
+                if line.startswith("fgn")]
+        assert [(row[0], float(row[3])) for row in rows] == [("fgn(d=0.1;scale=1)", 0.2)]
 
     def test_output_sorted_and_white_ratio_one(self, tmp_path):
         path, out = write_config(tmp_path, BASE_CONFIG)

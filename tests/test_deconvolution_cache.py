@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrdeconv import estimator
-from lrdeconv.channels import BlurKernel, ChannelDesign, kernel_fourier
+from lrdeconv.channels import BlurKernel, kernel_fourier
 from lrdeconv.errors import ConfigError, MissingFrequencyError, NumericError
 from lrdeconv.estimator import (
     EstimatorConfig,
@@ -23,7 +23,7 @@ from lrdeconv.estimator import (
 )
 from lrdeconv.fourier import FourierSeries
 from lrdeconv.meyer import MeyerSpec, _level_cache, analyze, needed_band
-from lrdeconv.noise import NoiseModel
+from testkit import make_design, make_kernel
 
 KINDS = ("boxcar", "heat", "dirichlet", "table")
 # The real FFT rounds differently from the reference's complex FFT, and the
@@ -54,26 +54,6 @@ def reference_fourier_deconvolve(y, design, kernel, denom_tol=1e-12):
     values[ok] = numer[ok] / denom[ok]
     ill_posed = [int(mm) for mm in m[~ok]]
     return FourierSeries(band, values), ill_posed
-
-
-def make_design(u, d, N):
-    noise = tuple(NoiseModel.farima(dl) if dl > 0 else NoiseModel.white() for dl in d)
-    return ChannelDesign(tuple(u), tuple(d), N, noise)
-
-
-def make_kernel(kind, u, N, seed):
-    """A kernel of ``kind``; a table kernel covers the full band of N, rows
-    shuffled and scaled over 12 decades, so the largest denominator can lie
-    outside any narrower band."""
-    if kind != "table":
-        return BlurKernel(kind, c=0.9, q=(1.0, 0.5))
-    rng = np.random.default_rng(seed)
-    band = N // 2 - 1
-    m_rows = rng.permutation(np.arange(-band, band + 1))
-    g = rng.normal(size=(len(m_rows), len(u))) + 1j * rng.normal(size=(len(m_rows), len(u)))
-    g *= 10.0 ** rng.uniform(-8.0, 4.0, size=(len(m_rows), 1))
-    return BlurKernel("table", table_m=tuple(int(m) for m in m_rows), table_u=tuple(u),
-                      table_g=tuple(g.ravel().tolist()))
 
 
 @st.composite

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from testkit import boxcar_linear_design
+from testkit import bits, boxcar_linear_design
 from lrdeconv.channels import (
     BlurKernel,
     ChannelDesign,
-    delta_kappa,
+    delta_1,
     epsilon_n,
     simulate_observations,
 )
@@ -335,10 +335,6 @@ def per_block_threshold(coeffs, n, n_star, config):
     return out, decisions
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 # n with block length ceil(ln n) = L, for L = 2 (n = 3..7) up to 21 (n <= e^21, about 1.3e9)
 block_sizes = st.integers(2, 21).flatmap(
     lambda L: st.integers(math.floor(math.exp(L - 1)) + 1, math.floor(math.exp(L))))
@@ -388,11 +384,11 @@ class TestLevelAtOnceThreshold:
             got, got_decisions = block_threshold(coeffs, n, n_star, config)
             want, want_decisions = per_block_threshold(coeffs, n, n_star, config)
 
-        assert np.array_equal(bits(coeffs.scaling), bits(before.scaling))
+        assert bits(coeffs.scaling) == bits(before.scaling)
         for j in range(j0, j0 + extra):
-            assert np.array_equal(bits(coeffs.detail[j]), bits(before.detail[j]))
-            assert np.array_equal(bits(got.detail[j]), bits(want.detail[j]))
-        assert np.array_equal(bits(got.scaling), bits(want.scaling))
+            assert bits(coeffs.detail[j]) == bits(before.detail[j])
+            assert bits(got.detail[j]) == bits(want.detail[j])
+        assert bits(got.scaling) == bits(want.scaling)
         assert len(got_decisions) == len(want_decisions)
         for g, w in zip(got_decisions, want_decisions):
             assert (g.level, g.block, g.kept) == (w.level, w.block, w.kept)
@@ -515,7 +511,7 @@ class TestCoefficientMoments:
         design, kernel, rows = null_coefficients
         ratios = []
         for j, B in rows.items():
-            bound = delta_kappa(design, kernel, j, 1) / design.n
+            bound = delta_1(design, kernel, j) / design.n
             ratios.append(B.var(axis=0, ddof=1).mean() / bound)
         assert all(np.isfinite(r) and r > 0 for r in ratios)
         assert max(ratios) / min(ratios) < 5.0

@@ -15,7 +15,6 @@ from lrdeconv.errors import ConfigError, NumericError, SizeLimitError
 from lrdeconv.noise import (
     NoiseModel,
     autocovariance,
-    sample_path,
     sample_paths,
     toeplitz_eigen_bounds,
 )
@@ -175,7 +174,7 @@ class TestAutocovariance:
         assert np.all(np.isfinite(gamma))
         assert gamma[0] == pytest.approx(scale ** 2, rel=1e-12)
         assert np.all(np.abs(gamma[1:]) <= 1e-299 * scale ** 2)
-        assert np.all(np.isfinite(sample_path(model, n_points, seed=0)))
+        assert np.all(np.isfinite(sample_paths((model,), n_points, 0)[0]))
 
     def test_symmetry(self):
         model = NoiseModel.fgn(hurst=0.8)
@@ -186,15 +185,15 @@ class TestAutocovariance:
 
 class TestSamplePath:
     def test_white_sample_mean(self):
-        x = sample_path(NoiseModel.white(), 4096, seed=5)
+        x = sample_paths((NoiseModel.white(),), 4096, 5)[0]
         assert abs(x.mean()) < 4 / math.sqrt(4096)
 
     def test_deterministic(self):
         model = NoiseModel.farima(0.3)
-        a = sample_path(model, 1024, seed=17)
-        b = sample_path(model, 1024, seed=17)
+        a = sample_paths((model,), 1024, 17)[0]
+        b = sample_paths((model,), 1024, 17)[0]
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, sample_path(model, 1024, seed=18))
+        assert not np.array_equal(a, sample_paths((model,), 1024, 18)[0])
 
     def test_lag1_autocovariance(self):
         # pooled lag-1 sample autocovariance over 200 replicates vs gamma(1)
@@ -202,7 +201,7 @@ class TestSamplePath:
         n, reps = 4096, 200
         acc = np.empty(reps)
         for rep in range(reps):
-            x = sample_path(model, n, seed=np.random.SeedSequence(123, spawn_key=(rep,)))
+            x = sample_paths((model,), n, np.random.SeedSequence(123, spawn_key=(rep,)))[0]
             acc[rep] = np.mean(x[1:] * x[:-1])
         target = float(autocovariance(model, 1))
         se = acc.std(ddof=1) / math.sqrt(reps)
@@ -228,10 +227,9 @@ class TestSamplePath:
         h, x = np.empty((3, 513), dtype=complex), np.empty((3, 1024))
         want = noise._paths_from_normals(z, sqrt_spec, h, x)[:, :512]
         assert np.array_equal(batch, want)
-        assert np.array_equal(batch[0], sample_path(models[0], 512, seed=42))
 
     def test_n_points_one(self):
-        x = sample_path(NoiseModel.farima(0.4), 1, seed=0)
+        x = sample_paths((NoiseModel.farima(0.4),), 1, 0)[0]
         assert x.shape == (1,)
 
     @pytest.mark.parametrize("n_points", [0, -1])
@@ -239,8 +237,6 @@ class TestSamplePath:
         models = [NoiseModel.farima(0.1), NoiseModel.white()]
         with pytest.raises(ConfigError, match="n_points must be >= 1"):
             sample_paths(models, n_points, master_seed=1)
-        with pytest.raises(ConfigError, match="n_points must be >= 1"):
-            sample_path(models[0], n_points, seed=1)
 
     def test_no_models_give_no_rows(self):
         paths = sample_paths([], 64, master_seed=1)
@@ -322,8 +318,6 @@ class TestEmbeddingGuard:
         try:
             with pytest.raises(NumericError, match="circulant embedding"):
                 sample_paths([NoiseModel.farima(0.2)] * 2, 4, master_seed=0)
-            with pytest.raises(NumericError):
-                sample_path(NoiseModel.farima(0.2), 4, seed=0)
         finally:
             noise._embedding_spectra.cache_clear()
 
@@ -333,6 +327,6 @@ class TestEmbeddingGuard:
         noise._embedding_spectra.cache_clear()
         try:
             with pytest.raises(NumericError, match="circulant embedding"):
-                sample_path(NoiseModel.farima(0.2), 4, seed=0)
+                sample_paths((NoiseModel.farima(0.2),), 4, 0)
         finally:
             noise._embedding_spectra.cache_clear()

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from lrdeconv import noise
 from lrdeconv.noise import NoiseModel, sample_paths
+from testkit import bits
 
 
 # ------------------------------------------------------------ inline loop
@@ -43,10 +44,6 @@ def inline_sample_paths(models, n_points, seed):
         noise._paths_from_normals(zb, sqrt_spec[b], hb, xb)
         out[b] = xb[:, :n_points]
     return out
-
-
-def bits(a):
-    return np.ascontiguousarray(a).tobytes()
 
 
 class Submissions:

@@ -81,6 +81,16 @@ class TestBesovSeminorm:
             c * 2.0 ** (j * ball.s_prime), rel=1e-12
         )
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_no_detail_levels_is_the_scaling_norm(self, p):
+        # J = j0: no level sum, so no convergence check, and the norm is the
+        # l_p norm of the scaling coefficients alone
+        coeffs = WaveletCoefficients.zeros(MeyerSpec(3, 3))
+        coeffs.scaling[:] = [3.0, -4.0j, 0.0, 1.0 + 1.0j, -2.0, 0.5, 0.0, 7.0]
+        ball = BesovBall(s=2.0, p=p, q=2.0, radius=1.0)
+        want = np.linalg.norm(np.abs(coeffs.scaling), ord=p)
+        assert besov_seminorm(coeffs, ball) == pytest.approx(want, rel=1e-12)
+
     def test_cosine_stable_as_levels_grow(self):
         f = make_test_function("smooth_sine", 1, {"freq": 1})
         ball = BesovBall(s=2.0, p=2.0, q=2.0, radius=1.0)

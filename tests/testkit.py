@@ -1,7 +1,7 @@
-"""Helpers the test modules import: a boxcar design builder, the spectral
-density that the noise tests hold the autocovariances and eigenvalues to, and
-the record of acceptance results that ``conftest.py`` prints in the terminal
-summary.
+"""Helpers the test modules import: design and kernel builders, ``bits`` for
+bit-for-bit comparisons, the spectral density that the noise tests hold the
+autocovariances and eigenvalues to, and the record of acceptance results that
+``conftest.py`` prints in the terminal summary.
 
 The name is unique across ``tests/`` and ``perfbench/tests/``, so one pytest
 run over both imports the same module whichever conftest was loaded last.
@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import special
 
-from lrdeconv.channels import ChannelDesign
+from lrdeconv.channels import BlurKernel, ChannelDesign
 from lrdeconv.errors import ConfigError, NumericError
 from lrdeconv.noise import NoiseModel
 
@@ -23,6 +23,32 @@ ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
 def record_acceptance(name: str, ok: bool, detail: str) -> None:
     ACCEPTANCE_RESULTS.append((name, ok, detail))
+
+
+def bits(a) -> bytes:
+    """The bytes of an array, to compare two arrays bit for bit."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def make_design(u, d, N) -> ChannelDesign:
+    """Channels at points u with memory exponents d: FARIMA noise, white where d = 0."""
+    noise = tuple(NoiseModel.farima(dl) if dl > 0 else NoiseModel.white() for dl in d)
+    return ChannelDesign(tuple(u), tuple(d), N, noise)
+
+
+def make_kernel(kind, u, N, seed) -> BlurKernel:
+    """A kernel of ``kind``; a table kernel covers the full band of N, rows
+    shuffled and scaled over 12 decades, so the largest denominator can lie
+    outside any narrower band."""
+    if kind != "table":
+        return BlurKernel(kind, c=0.9, q=(1.0, 0.5))
+    rng = np.random.default_rng(seed)
+    band = N // 2 - 1
+    m_rows = rng.permutation(np.arange(-band, band + 1))
+    g = rng.normal(size=(len(m_rows), len(u))) + 1j * rng.normal(size=(len(m_rows), len(u)))
+    g *= 10.0 ** rng.uniform(-8.0, 4.0, size=(len(m_rows), 1))
+    return BlurKernel("table", table_m=tuple(int(m) for m in m_rows), table_u=tuple(u),
+                      table_g=tuple(g.ravel().tolist()))
 
 
 def boxcar_linear_design(n: int, a1: float = 0.2, a2: float = 0.1,
