@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFitError, IllPosedFrequencyError
+from .errors import ConfigError, DegenerateFitError, NumericError
 from .fourier import FourierSeries
 from .meyer import MeyerSpec, frequency_set
 from .noise import NoiseModel, _blocks, sample_paths
@@ -123,6 +123,10 @@ class ChannelDesign:
     def d_array(self) -> np.ndarray:
         return np.asarray(self.d)
 
+    def weight_array(self) -> np.ndarray:
+        """The channel weights N^(-2 d_l) of tau_1, eps_n and the deconvolution."""
+        return float(self.N) ** (-2.0 * self.d_array())
+
 
 @dataclass(frozen=True)
 class BlurKernel:
@@ -187,7 +191,7 @@ def _sin_2pi(x: np.ndarray) -> np.ndarray:
 
 
 def kernel_fourier(kernel: BlurKernel, u, m) -> np.ndarray:
-    """g_m(u); broadcasts over channel points u (rows) and frequencies m (cols)."""
+    """g_m(u) as a (len(u), len(m)) array: channel points u (rows) by frequencies m (cols)."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
     m_arr = np.atleast_1d(np.asarray(m, dtype=int))[None, :]
 
@@ -208,9 +212,7 @@ def kernel_fourier(kernel: BlurKernel, u, m) -> np.ndarray:
         out = np.where(m_arr == 0, 1.0, vals).astype(complex)
     else:
         out = _table_lookup(kernel, u_arr[:, 0], m_arr[0, :])
-
-    scalar = np.isscalar(u) and np.isscalar(m)
-    return complex(out[0, 0]) if scalar else out
+    return out
 
 
 def _table_arrays(kernel: BlurKernel) -> tuple:
@@ -317,10 +319,8 @@ def _blurred_truth(band: int, values: bytes, design: ChannelDesign,
 
 def tau_1(design: ChannelDesign, kernel: BlurKernel, m) -> np.ndarray:
     """M^-1 sum_l N^(-2 d_l) |g_m(u_l)|^2."""
-    g = kernel_fourier(kernel, design.u_array(), np.atleast_1d(m))
-    weights = float(design.N) ** (-2.0 * design.d_array())
-    out = (weights[:, None] * np.abs(g) ** 2).mean(axis=0)
-    return float(out[0]) if np.isscalar(m) else out
+    g = kernel_fourier(kernel, design.u_array(), m)
+    return (design.weight_array()[:, None] * np.abs(g) ** 2).mean(axis=0)
 
 
 def delta_1(design: ChannelDesign, kernel: BlurKernel, j: int) -> float:
@@ -330,7 +330,7 @@ def delta_1(design: ChannelDesign, kernel: BlurKernel, j: int) -> float:
     t1 = tau_1(design, kernel, members)
     if np.any(t1 <= TAU_FLOOR):
         bad = members[t1 <= TAU_FLOOR]
-        raise IllPosedFrequencyError(
+        raise NumericError(
             f"tau_1 vanishes on C_{j} at m in {bad[:8].tolist()}; level is ill-posed"
         )
     return float(np.mean(t1 * t1 ** -2.0))
@@ -338,7 +338,7 @@ def delta_1(design: ChannelDesign, kernel: BlurKernel, j: int) -> float:
 
 def epsilon_n(design: ChannelDesign) -> tuple[float, float]:
     """Noise-reduction factor eps_n = M^-1 sum_l N^(-2 d_l) and n* = n eps_n."""
-    eps = float(np.mean(float(design.N) ** (-2.0 * design.d_array())))
+    eps = float(np.mean(design.weight_array()))
     return eps, eps * design.n
 
 

@@ -20,18 +20,6 @@ class NumericError(LrdeconvError):
     """A numeric procedure failed (degenerate fit, embedding failure, ...)."""
 
 
-class SizeLimitError(NumericError):
-    """A dense computation was requested above its configured size limit."""
-
-
-class MissingFrequencyError(NumericError):
-    """A Fourier coefficient required by the analysis is not available."""
-
-
-class IllPosedFrequencyError(NumericError):
-    """All channels are (numerically) blind at a requested frequency."""
-
-
 class DegenerateFitError(NumericError):
     """A regression/fit had no usable signal (all zero, no spread, ...)."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import BlurKernel, ChannelDesign, epsilon_n, kernel_fourier
-from .errors import ConfigError, MissingFrequencyError, NumericError
+from .errors import ConfigError, NumericError
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, WaveletCoefficients, analyze, needed_band, synthesize_series
 from .noise import _blocks
@@ -84,7 +84,7 @@ class EstimatorConfig:
         return self.alpha1 > 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class ThresholdDecision:
     level: int
     block: int
@@ -140,7 +140,7 @@ def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol:
     full = design.alias_free_band
     m = np.arange(-full, full + 1)
     u = design.u_array()
-    w = (float(N) ** (-2.0 * design.d_array()))[:, None]
+    w = design.weight_array()[:, None]
     denom = np.empty(m.size)
     keep = slice(full - band, full + band + 1)
     g_band = np.empty((design.M, 2 * band + 1), dtype=complex)
@@ -190,7 +190,7 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
     if band is None:
         band = full
     elif not 0 <= band <= full:
-        raise MissingFrequencyError(f"band {band} outside the alias-free band 0..{full}")
+        raise NumericError(f"band {band} outside the alias-free band 0..{full}")
     # np.sum adds the channels of a C-ordered block row by row, but those of a
     # single column pairwise; so band 0 is computed as |m| <= 1 and cut
     width = min(max(band, 1), full)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MissingFrequencyError
+from .errors import ConfigError
 
 __all__ = ["FourierSeries", "coeffs_to_grid"]
 
@@ -38,30 +38,10 @@ class FourierSeries:
             )
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zeros(cls, band: int) -> "FourierSeries":
-        return cls(band, np.zeros(2 * band + 1, dtype=complex))
-
     @property
     def m(self) -> np.ndarray:
         """Integer frequencies −band..band matching ``values``."""
         return np.arange(-self.band, self.band + 1)
-
-    def get(self, m) -> np.ndarray:
-        """Coefficients at integer frequencies ``m``; raises if out of band."""
-        m = np.asarray(m, dtype=int)
-        if m.size and np.abs(m).max() > self.band:
-            raise MissingFrequencyError(
-                f"frequency |m|={int(np.abs(m).max())} outside available band {self.band}"
-            )
-        return self.values[m + self.band]
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
-
-    def hermitian_defect(self) -> float:
-        """Max |w_{-m} - conj(w_m)|; zero for real-valued functions."""
-        return float(np.max(np.abs(self.values[::-1] - np.conj(self.values))))
 
 
 def coeffs_to_grid(series: FourierSeries, grid_size: int) -> np.ndarray:

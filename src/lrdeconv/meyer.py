@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MissingFrequencyError
+from .errors import ConfigError, NumericError
 from .fourier import FourierSeries
 
 __all__ = [
@@ -89,11 +89,7 @@ class MeyerSpec:
 class FrequencySet:
     """Sorted integer frequencies m with a nonzero coefficient at one level."""
 
-    level: int
     members: np.ndarray
-
-    def __len__(self):
-        return len(self.members)
 
 
 class WaveletCoefficients:
@@ -117,20 +113,13 @@ class WaveletCoefficients:
     def copy(self) -> "WaveletCoefficients":
         return WaveletCoefficients(self.spec, self.values.copy())
 
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
-
-    def imag_residue(self) -> float:
-        return float(np.max(np.abs(self.values.imag), initial=0.0))
-
 
 def scaling_ft(spec: MeyerSpec, omega) -> np.ndarray:
     """phi_hat(w): 1 on |w| <= 2 pi/3, cosine taper to 0 at |w| = 4 pi/3."""
     w = np.abs(np.asarray(omega, dtype=float))
     nu = meyer_aux(3.0 * w / (2.0 * np.pi) - 1.0, spec.aux_poly)
-    out = np.where(w <= 2 * np.pi / 3, 1.0,
-                   np.where(w < 4 * np.pi / 3, np.cos(np.pi / 2 * nu), 0.0))
-    return out if out.shape else float(out)
+    return np.where(w <= 2 * np.pi / 3, 1.0,
+                    np.where(w < 4 * np.pi / 3, np.cos(np.pi / 2 * nu), 0.0))
 
 
 def wavelet_ft(spec: MeyerSpec, omega) -> np.ndarray:
@@ -141,8 +130,7 @@ def wavelet_ft(spec: MeyerSpec, omega) -> np.ndarray:
     hi = np.cos(np.pi / 2 * meyer_aux(3.0 * a / (4.0 * np.pi) - 1.0, spec.aux_poly))
     window = np.where((a > 2 * np.pi / 3) & (a <= 4 * np.pi / 3), lo,
                       np.where((a > 4 * np.pi / 3) & (a < 8 * np.pi / 3), hi, 0.0))
-    out = np.exp(1j * w / 2.0) * window
-    return out if out.shape else complex(out)
+    return np.exp(1j * w / 2.0) * window
 
 
 def _level_window(spec: MeyerSpec, j: int, m: np.ndarray, kind: str) -> np.ndarray:
@@ -173,14 +161,14 @@ def frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
     """C_j = {m: psi_{mjk} != 0}; contained in 2^j < 3|m| < 2^(j+2)."""
     if j < 0:
         raise ConfigError("level must be >= 0")
-    return FrequencySet(j, _level_cache(spec.aux_poly, j, "wavelet")[0])
+    return FrequencySet(_level_cache(spec.aux_poly, j, "wavelet")[0])
 
 
 def scaling_frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
     """Frequencies touched by the level-j scaling functions: 3|m| < 2^(j+1)."""
     if j < 0:
         raise ConfigError("level must be >= 0")
-    return FrequencySet(j, _level_cache(spec.aux_poly, j, "scaling")[0])
+    return FrequencySet(_level_cache(spec.aux_poly, j, "scaling")[0])
 
 
 def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") -> np.ndarray:
@@ -194,8 +182,7 @@ def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") 
     m_arr = np.asarray(m, dtype=int)
     window = _level_window(spec, j, m_arr, kind)
     phase = np.exp(-2j * np.pi * m_arr * k / float(2 ** j))
-    out = 2.0 ** (-j / 2.0) * phase * window
-    return out if out.shape else complex(out)
+    return 2.0 ** (-j / 2.0) * phase * window
 
 
 def needed_band(spec: MeyerSpec) -> int:
@@ -221,7 +208,7 @@ def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
     """
     band = needed_band(spec)
     if band > f.band:
-        raise MissingFrequencyError(
+        raise NumericError(
             f"analysis needs |m| <= {band} but only |m| <= {f.band} available"
         )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, SizeLimitError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "NoiseModel",
@@ -122,7 +122,10 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
     """Autocovariance gamma(lag) at integer lags: the integral of
     cos(lag lambda) a(lambda) over [-pi, pi], a the spectral density.
 
-    fGn: gamma(k) = (scale^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).  White and
+    fGn: gamma(k) = (scale^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}), formed for
+    k >= 1 as (scale^2/2) k^{2H} [expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))]:
+    the plain second difference cancels about k^{2H} eps, which near H = 1 turns
+    the circulant embedding's spectrum negative at large N.  White and
     FARIMA(0, d, 0), d = 0 included: gamma(0) = scale^2 G(1-2d) / G(1-d)^2 and
     Hosking's (1981) recurrence gamma(k) = gamma(k-1) (k-1+d) / (k-d), one
     cumulative product over a prefix of max|lag| + 1 floats (exactly 0 past lag 0
@@ -133,15 +136,16 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
 
     if model.kind == "fgn":
         H2 = 2.0 * model.hurst
-        kf = k.astype(float)
-        out = 0.5 * sigma2 * ((kf + 1) ** H2 - 2 * kf ** H2 + np.abs(kf - 1) ** H2)
-        return out if out.shape else float(out)
+        kf = np.maximum(k, 1).astype(float)  # lag 0 is scale^2, set below
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at lag 1
+            out = 0.5 * sigma2 * kf ** H2 * (np.expm1(H2 * np.log1p(1.0 / kf))
+                                             + np.expm1(H2 * np.log1p(-1.0 / kf)))
+        return np.where(k == 0, sigma2, out)
 
     d = model.d
     gamma0 = sigma2 * math.exp(math.lgamma(1 - 2 * d) - 2 * math.lgamma(1 - d))
     j = np.arange(1.0, k.max(initial=0) + 1)
-    out = np.cumprod(np.concatenate([[gamma0], (j - 1 + d) / (j - d)]))[k]
-    return out if out.shape else float(out)
+    return np.cumprod(np.concatenate([[gamma0], (j - 1 + d) / (j - d)]))[k]
 
 
 @functools.lru_cache(maxsize=4)
@@ -296,7 +300,7 @@ def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary
     if n_points < 2:
         raise ConfigError("n_points must be >= 2")
     if n_points > DENSE_EIGEN_LIMIT:
-        raise SizeLimitError(
+        raise NumericError(
             f"dense eigensolve limited to N <= {DENSE_EIGEN_LIMIT}, got {n_points}"
         )
     lags = np.arange(n_points)

@@ -185,7 +185,7 @@ class TestCriterion4VarianceBound:
         kernel = BlurKernel("boxcar")
         spec = MeyerSpec(3, 7)
         reps = 500
-        f0 = FourierSeries.zeros(1)
+        f0 = FourierSeries(1, np.zeros(3))
         acc = {j: [] for j in range(3, 7)}
         for rep in range(reps):
             y = simulate_observations(f0, design, kernel,

@@ -21,7 +21,8 @@ from lrdeconv.channels import BlurKernel, _blurred_truth, kernel_fourier
 from lrdeconv.errors import ConfigError, NumericError
 from lrdeconv.estimator import _deconvolution_weights, fourier_deconvolve
 from lrdeconv.fourier import FourierSeries
-from testkit import bits, boxcar_linear_design, make_design, make_kernel
+from testkit import (bits, boxcar_linear_design, make_design, make_kernel,
+                     reference_blurred_truth)
 
 KINDS = ("boxcar", "heat", "dirichlet", "table")
 MB = 2 ** 20
@@ -29,7 +30,8 @@ MB = 2 ** 20
 
 # ------------------------------------------------------ unblocked bodies
 # The three stages as they were before they were blocked: one kernel call over
-# the full band, one M x N inverse FFT, one real FFT of every row.
+# the full band, one M x N inverse FFT (``testkit.reference_blurred_truth``),
+# one real FFT of every row.
 
 def reference_weights(design, kernel, denom_tol, band):
     N = design.N
@@ -49,17 +51,6 @@ def reference_weights(design, kernel, denom_tol, band):
     keep = slice(full - band, full + band + 1)
     return (np.ascontiguousarray(w * np.conj(g[:, keep])), denom[keep].copy(), ok[keep].copy(),
             ill_posed)
-
-
-def reference_blurred_truth(band, values, design, kernel):
-    N = design.N
-    m = np.arange(-band, band + 1)
-    g = kernel_fourier(kernel, design.u_array(), m)
-    assembled = np.zeros((design.M, N), dtype=complex)
-    assembled[:, np.mod(m, N)] = g * np.frombuffer(values, dtype=complex)[None, :]
-    np.fft.ifft(assembled, axis=1, out=assembled)
-    assembled *= N
-    return assembled.real.copy()
 
 
 def reference_fourier_deconvolve(y, design, kernel, denom_tol, band):
@@ -156,7 +147,8 @@ class TestSameBits:
         values = (rng.normal(size=2 * band + 1) + 1j * rng.normal(size=2 * band + 1)).tobytes()
         with blocked(block):
             got = _blurred_truth.__wrapped__(band, values, design, kernel)
-        assert bits(got) == bits(reference_blurred_truth(band, values, design, kernel))
+        truth = FourierSeries(band, np.frombuffer(values, dtype=complex))
+        assert bits(got) == bits(reference_blurred_truth(truth, design, kernel))
         assert got.shape == (design.M, design.N) and not got.flags.writeable
 
     @settings(max_examples=150, deadline=None)

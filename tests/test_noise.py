@@ -11,7 +11,7 @@ from scipy import linalg, special
 from scipy.integrate import quad
 
 from lrdeconv import noise
-from lrdeconv.errors import ConfigError, NumericError, SizeLimitError
+from lrdeconv.errors import ConfigError, NumericError
 from lrdeconv.noise import (
     NoiseModel,
     autocovariance,
@@ -144,6 +144,27 @@ class TestAutocovariance:
 
     def test_fgn_half_uncorrelated(self):
         assert autocovariance(NoiseModel.fgn(hurst=0.5), 1) == pytest.approx(0.0, abs=1e-14)
+        gamma = autocovariance(NoiseModel.fgn(hurst=0.5, scale=1.5), np.arange(2 ** 18 + 1))
+        assert gamma[0] == 1.5 ** 2
+        assert np.abs(gamma[1:]).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [0.1, 0.499])
+    def test_fgn_matches_mpmath(self, d):
+        # the second difference at 50 digits, at every lag to 64 and 300 lags
+        # spaced evenly in log to 2^18; the plain double-precision difference
+        # is off by up to 6.7e-6 (d = 0.1) and 3.8e-6 (d = 0.499) there
+        mpmath = pytest.importorskip("mpmath")
+        model = NoiseModel("fgn", d, 2.0)
+        lags = np.unique(np.concatenate(
+            [np.arange(65), np.geomspace(64, 2 ** 18, 300).round().astype(int)]))
+        gamma = autocovariance(model, lags)
+        with mpmath.workdps(50):
+            H2 = 2 * mpmath.mpf(model.hurst)
+            exact = np.array([float(2 * (mpmath.mpf(k + 1) ** H2 - 2 * mpmath.mpf(k) ** H2
+                                         + abs(mpmath.mpf(k - 1)) ** H2))
+                              for k in lags.tolist()])
+        assert gamma[0] == 4.0
+        assert np.abs(gamma / exact - 1).max() <= 1e-9
 
     @pytest.mark.parametrize("lag", [0, 1, 5])
     def test_farima_matches_quadrature(self, lag):
@@ -282,7 +303,8 @@ class TestToeplitzEigenBounds:
         assert s.lambda_max == pytest.approx(eigs[-1], rel=1e-13, abs=0)
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(NumericError,
+                           match=r"^dense eigensolve limited to N <= 4096, got 8192$"):
             toeplitz_eigen_bounds(NoiseModel.white(), 8192)
         with pytest.raises(ConfigError):
             toeplitz_eigen_bounds(NoiseModel.white(), 1)
@@ -306,6 +328,16 @@ class TestEmbeddingGuard:
                 gamma0 = float(autocovariance(model, 0))
                 worst = min(worst, float(np.min(sqrt_spec ** 2 * m)) / gamma0)
         assert worst >= 1e-3
+
+    @pytest.mark.parametrize("d, n", [(0.4999999, 4096), (0.4999, 2 ** 16), (0.499, 2 ** 18)])
+    def test_fgn_near_half_embeds(self, d, n):
+        # the plain second difference gave these spectra minima -9.88e-9,
+        # -8.42e-5 and -6.31e-3, and the embedding was rejected
+        model = NoiseModel("fgn", d)
+        gamma = autocovariance(model, np.arange(n + 1))
+        assert np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real.min() > 0
+        sqrt_spec = noise._embedding_spectra.__wrapped__((model,), n)
+        assert sqrt_spec.shape == (1, n + 1) and np.all(np.isfinite(sqrt_spec))
 
     def test_rejected_embedding_raises(self, monkeypatch):
         def not_positive_definite(model, lag):

@@ -27,7 +27,7 @@ from lrdeconv.channels import (
 )
 from lrdeconv.fourier import FourierSeries
 from lrdeconv.noise import NoiseModel, autocovariance, sample_paths
-from testkit import bits
+from testkit import bits, reference_blurred_truth
 
 
 # ------------------------------------------------------- reference sampler
@@ -75,15 +75,6 @@ def reference_paths(sqrt_spectra, n_points, master_seed):
 def reference_sample_paths(models, n_points, master_seed):
     return reference_paths([reference_embedding_spectrum(mod, n_points + 1)[0] for mod in models],
                            n_points, master_seed)
-
-
-def reference_signal(f, design, kernel):
-    """The blurred truth as ``simulate_observations`` computed it in every call."""
-    N = design.N
-    g = kernel_fourier(kernel, design.u_array(), f.m)
-    assembled = np.zeros((design.M, N), dtype=complex)
-    assembled[:, np.mod(f.m, N)] = g * f.values[None, :]
-    return (N * np.fft.ifft(assembled, axis=1)).real
 
 
 # The real transforms round differently from the complex FFTs of the
@@ -233,11 +224,11 @@ class TestSignalCache:
         band = data.draw(st.integers(0, N // 2 - 1))
         f, design, kernel = make_case(kind, M, N, band, seed=data.draw(st.integers(0, 99)))
         signal = _blurred_truth(f.band, f.values.tobytes(), design, kernel)
-        assert bits(signal) == bits(reference_signal(f, design, kernel))
+        assert bits(signal) == bits(reference_blurred_truth(f, design, kernel))
         y = simulate_observations(f, design, kernel, 5)
-        assert bits(y) == bits(reference_signal(f, design, kernel)
+        assert bits(y) == bits(reference_blurred_truth(f, design, kernel)
                                + sample_paths(design.noise, N, 5))
-        assert_close(y, reference_signal(f, design, kernel)
+        assert_close(y, reference_blurred_truth(f, design, kernel)
                      + reference_sample_paths(design.noise, N, 5))
 
     def test_changed_truth_values_give_the_new_signal(self):
@@ -246,7 +237,8 @@ class TestSignalCache:
         f.values[5] *= 2.0
         again = simulate_observations(f, design, kernel, 3)
         assert bits(again) != bits(first)
-        want = reference_signal(f, design, kernel) + sample_paths(design.noise, design.N, 3)
+        want = (reference_blurred_truth(f, design, kernel)
+                + sample_paths(design.noise, design.N, 3))
         assert bits(again) == bits(want)
 
     def test_cached_signal_is_read_only_and_results_are_writable(self):
@@ -278,8 +270,8 @@ class TestSignalCache:
         jobs = [(case, seed) for case in cases for seed in seeds] * 3
         serial = [simulate_observations(*case, seed) for case, seed in jobs]
         for (case, seed), y in zip(jobs, serial):
-            assert_close(y, reference_signal(*case) + reference_sample_paths(case[1].noise, 256,
-                                                                             seed))
+            assert_close(y, reference_blurred_truth(*case)
+                         + reference_sample_paths(case[1].noise, 256, seed))
         _blurred_truth.cache_clear()
         noise._embedding_spectra.cache_clear()
         old = sys.getswitchinterval()

@@ -1,7 +1,7 @@
 """Helpers the test modules import: design and kernel builders, ``bits`` for
-bit-for-bit comparisons, the spectral density that the noise tests hold the
-autocovariances and eigenvalues to, and the record of acceptance results that
-``conftest.py`` prints in the terminal summary.
+bit-for-bit comparisons, the unblocked blurred truth, the spectral density that
+the noise tests hold the autocovariances and eigenvalues to, and the record of
+acceptance results that ``conftest.py`` prints in the terminal summary.
 
 The name is unique across ``tests/`` and ``perfbench/tests/``, so one pytest
 run over both imports the same module whichever conftest was loaded last.
@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import special
 
-from lrdeconv.channels import BlurKernel, ChannelDesign
+from lrdeconv.channels import BlurKernel, ChannelDesign, kernel_fourier
 from lrdeconv.errors import ConfigError, NumericError
 from lrdeconv.noise import NoiseModel
 
@@ -49,6 +49,17 @@ def make_kernel(kind, u, N, seed) -> BlurKernel:
     g *= 10.0 ** rng.uniform(-8.0, 4.0, size=(len(m_rows), 1))
     return BlurKernel("table", table_m=tuple(int(m) for m in m_rows), table_u=tuple(u),
                       table_g=tuple(g.ravel().tolist()))
+
+
+def reference_blurred_truth(f, design, kernel) -> np.ndarray:
+    """The blurred truth (g(u_l, .) * f)(t_i) of the FourierSeries f as one
+    M x N inverse FFT, N ifft(g_m(u_l) f_m): the unblocked, uncached reference
+    for ``channels._blurred_truth``."""
+    N = design.N
+    g = kernel_fourier(kernel, design.u_array(), f.m)
+    assembled = np.zeros((design.M, N), dtype=complex)
+    assembled[:, np.mod(f.m, N)] = g * f.values[None, :]
+    return (N * np.fft.ifft(assembled, axis=1)).real
 
 
 def boxcar_linear_design(n: int, a1: float = 0.2, a2: float = 0.1,
