@@ -38,7 +38,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, DegenerateFitError, NumericError, require_seed
-from .estimator import block_length, estimate, plan, threshold_value
+from .estimator import block_length, estimate, ill_posed_frequencies, plan, threshold_value
 from .fourier import FourierSeries, coeffs_to_grid
 from .meyer import MeyerSpec, analyze, needed_band
 from .noise import toeplitz_eigen_bounds
@@ -207,11 +207,14 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         ball, est_cfg.nu, est_cfg.lambda1, est_cfg.alpha1, est_cfg.beta)
     # one mc_risk call per grid point, for a progress line each; the replicate
     # seeds (seed, (n, rep)) make the rows those of one call over the grid
-    report = RiskReport()
+    report, ill_posed = RiskReport(), {}
     for p in plans:
         start = time.perf_counter()
         report.rows += mc_risk(truth, designs.__getitem__, kernel, est_cfg, [p.n], reps, seed,
                                threads=args.threads).rows
+        # the replicates filled the weights cache with this grid point's entry
+        ill_posed[p.n] = len(ill_posed_frequencies(designs[p.n], kernel, est_cfg.denom_tol,
+                                                   p.band))
         print(f"bench: n={p.n} M={p.M} N={p.N} j0={p.j0} J={p.J} "
               f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
     # the rate is a power of ln n* in the super-smooth regime and of n* otherwise
@@ -238,7 +241,9 @@ def cmd_bench(cfg: RunConfig, seed: int, out: Path, args) -> int:
         "experiment": cfg.experiment,
         "fitted_slope": slope,
         "fitted_slope_se": slope_se,
-        "plan": [{key: getattr(p, key) for key in ("n", "M", "N", "n_star", "j0", "J", "warnings")}
+        "plan": [{"ill_posed": ill_posed[p.n],
+                  **{key: getattr(p, key) for key in ("n", "M", "N", "n_star", "j0", "J",
+                                                      "warnings")}}
                  for p in plans],
         "r_squared": r2,
         "regressor": regressor,

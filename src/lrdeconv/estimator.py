@@ -166,6 +166,20 @@ def _deconvolution_weights(design: ChannelDesign, kernel: BlurKernel, denom_tol:
     return arrays + (ill_posed,)
 
 
+def _weights_width(design: ChannelDesign, band: int) -> int:
+    """The band of the weights that ``fourier_deconvolve`` reads for ``band``.
+    np.sum adds the channels of a C-ordered block row by row, but those of a
+    single column pairwise; so band 0 is computed as |m| <= 1 and cut."""
+    return min(max(band, 1), design.alias_free_band)
+
+
+def ill_posed_frequencies(design: ChannelDesign, kernel: BlurKernel, denom_tol: float,
+                          band: int) -> tuple:
+    """The ill-posed m of the full alias-free band that ``fourier_deconvolve``
+    at ``band`` reports, from the weights cache that such a call fills."""
+    return _deconvolution_weights(design, kernel, denom_tol, _weights_width(design, band))[3]
+
+
 def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
                        denom_tol: float = 1e-12,
                        band: int | None = None) -> tuple[FourierSeries, list]:
@@ -191,9 +205,7 @@ def fourier_deconvolve(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
         band = full
     elif not 0 <= band <= full:
         raise NumericError(f"band {band} outside the alias-free band 0..{full}")
-    # np.sum adds the channels of a C-ordered block row by row, but those of a
-    # single column pairwise; so band 0 is computed as |m| <= 1 and cut
-    width = min(max(band, 1), full)
+    width = _weights_width(design, band)
     weights, denom, ok, ill_posed = _deconvolution_weights(design, kernel, denom_tol, width)
     half = np.empty((design.M, width + 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in an overflowing row

@@ -14,11 +14,13 @@ Exact sampling uses circulant embedding of the Toeplitz covariance
 The embedding is nonnegative for FARIMA(0, d, 0) and fGn with 0 <= d < 1/2
 (Craigmile, 2003); a covariance whose embedding spectrum falls below
 -NEG_TOL * gamma(0) raises NumericError instead of being sampled.  The paths
-of one call share one generator: path l takes the l-th run of 2N standard
-normals of default_rng(seed).  A call of more than one block draws the next
-block's normals on the process's one helper thread while it transforms the
-current block, when no other call holds that thread; the draws run one
-after another, so the bits are those of drawing inline.
+of one call are drawn in fixed groups of max(1, 2^17 // 2N) rows, group b
+from the generator of spawn key (b,) off the call's seed, each path taking
+the next run of 2N standard normals of its group's generator.  A call of
+more than one group shares its groups between the calling thread and the
+process's one helper thread, when no other call holds that thread; each
+group has its own generator, so the bits do not depend on which thread drew
+it.
 """
 
 from __future__ import annotations
@@ -44,12 +46,16 @@ __all__ = [
 # Embedding spectra below -NEG_TOL * gamma(0) reject the embedding.
 NEG_TOL = 1e-10
 DENSE_EIGEN_LIMIT = 4096
-# Points per block (``_blocks``): of the embedding rows that ``_sample_rows``
-# draws and transforms together (about 4 MB of buffers: two of normals, the
-# complex half and the transform), and of the blurred
-# truth, the kernel weights and the channel DFTs (about 2 MB of complex
-# values each).
+# Terms of the fGn autocovariance series (``autocovariance``): the first left
+# out is below 4^-FGN_TERMS of the first kept.
+FGN_TERMS = 30
+# Points per block (``_blocks``) of the blurred truth, the kernel weights and
+# the channel DFTs (about 2 MB of complex values each).
 _BLOCK_POINTS = 2 ** 17
+# Normals per generator of the sampler (``_sample_rows``): the rows are drawn
+# in groups of max(1, _GROUP_POINTS // 2N), one generator each.  Unlike
+# _BLOCK_POINTS, this fixes the output bits.
+_GROUP_POINTS = 2 ** 17
 
 
 def _blocks(count: int, points_each: int, least: int = 1) -> list[slice]:
@@ -122,10 +128,12 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
     """Autocovariance gamma(lag) at integer lags: the integral of
     cos(lag lambda) a(lambda) over [-pi, pi], a the spectral density.
 
-    fGn: gamma(k) = (scale^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}), formed for
-    k >= 1 as (scale^2/2) k^{2H} [expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))]:
-    the plain second difference cancels about k^{2H} eps, which near H = 1 turns
-    the circulant embedding's spectrum negative at large N.  White and
+    fGn: gamma(k) = (scale^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}), formed
+    without a difference, since any difference cancels: gamma(1) =
+    scale^2 expm1((2H - 1) ln 2) and, for k >= 2, the binomial series
+    scale^2 k^{2H} sum_{j >= 1} C(2H, 2j) k^{-2j}, whose terms are all positive
+    for 1 < 2H < 2 (all zero at H = 1/2) and shrink by at least 1/k^2 <= 1/4
+    each, so FGN_TERMS of them reach rounding.  White and
     FARIMA(0, d, 0), d = 0 included: gamma(0) = scale^2 G(1-2d) / G(1-d)^2 and
     Hosking's (1981) recurrence gamma(k) = gamma(k-1) (k-1+d) / (k-d), one
     cumulative product over a prefix of max|lag| + 1 floats (exactly 0 past lag 0
@@ -136,11 +144,19 @@ def autocovariance(model: NoiseModel, lag) -> np.ndarray:
 
     if model.kind == "fgn":
         H2 = 2.0 * model.hurst
-        kf = np.maximum(k, 1).astype(float)  # lag 0 is scale^2, set below
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at lag 1
-            out = 0.5 * sigma2 * kf ** H2 * (np.expm1(H2 * np.log1p(1.0 / kf))
-                                             + np.expm1(H2 * np.log1p(-1.0 / kf)))
-        return np.where(k == 0, sigma2, out)
+        coeffs = [H2 * (H2 - 1) / 2]  # C(2H, 2j), j = 1 .. FGN_TERMS
+        for j in range(1, FGN_TERMS):
+            coeffs.append(coeffs[-1] * (H2 - 2 * j) * (H2 - 2 * j - 1)
+                          / ((2 * j + 1) * (2 * j + 2)))
+        kf = np.maximum(k, 2).astype(float)  # lags 0 and 1 are set below
+        x = 1.0 / (kf * kf)
+        series = np.full(kf.shape, coeffs[-1])
+        for c in reversed(coeffs[:-1]):  # Horner in x = k^-2
+            series *= x
+            series += c
+        series *= sigma2 * kf ** (H2 - 2)
+        lag1 = sigma2 * math.expm1((H2 - 1) * math.log(2.0))
+        return np.where(k == 0, sigma2, np.where(k == 1, lag1, series))
 
     d = model.d
     gamma0 = sigma2 * math.exp(math.lgamma(1 - 2 * d) - 2 * math.lgamma(1 - d))
@@ -208,10 +224,9 @@ def _paths_from_normals(z: np.ndarray, sqrt_spec: np.ndarray, h: np.ndarray,
     return np.fft.irfft(h, n=2 * n, axis=1, norm="forward", out=x)
 
 
-# The one helper thread of the process that draws the normals of a block
-# while its caller transforms the one before (``_sample_rows``).  It is made
-# on first use by a call holding ``_draws_lock``, which gives it to one call
-# at a time.
+# The one helper thread of the process, which draws and transforms groups of
+# rows beside the calling thread (``_sample_rows``).  It is made on first use by
+# a call holding ``_draws_lock``, which gives it to one call at a time.
 _draws = None
 _draws_lock = threading.Lock()
 
@@ -225,62 +240,69 @@ def _draw_helper() -> ThreadPoolExecutor:
 
 def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
     """Row i: the first n_points of the (N + 1)-point circulant-embedding draw
-    with spectrum sqrt_spec[i] and weights from normals 2N i .. 2N (i + 1) - 1
-    of the one generator default_rng(seed) (``_paths_from_normals``).  Rows
-    are drawn and transformed a block at a time, in buffers small enough to
-    stay in cache between the draws, the assembly and the FFT.
+    with spectrum sqrt_spec[i] (``_paths_from_normals``).  The rows fall in
+    groups of G = max(1, _GROUP_POINTS // 2N): group b holds rows bG ..
+    (b + 1)G - 1, which take consecutive runs of 2N normals from
+    default_rng(SeedSequence(entropy, spawn_key=key + (b,))), (entropy, key)
+    the seed's (an int seed has key ()).
 
-    With more than one block, the process's helper thread, when no other call
-    holds it, draws block b + 1 into the second normals buffer while this
-    thread transforms block b; a call that finds it busy, or whose rows fit
-    one block, draws inline.  Each draw starts only after the one before it
-    has finished, so the stream fills in order and the bits depend neither on
-    the block size nor on which thread drew.
+    With more than one group, the process's helper thread, when no other call
+    holds it, and this thread each claim the next undone group, draw it,
+    transform it and write its rows; a call that finds the helper busy, or
+    whose rows fit one group, does every group itself.  So the bits depend on
+    (seed, sqrt_spec, N) alone, never on which thread did a group.  Each
+    thread holds one normals buffer, which the transform then overwrites, and
+    one complex half.
     """
     rows, half = sqrt_spec.shape
     m = 2 * n_points
-    blocks = _blocks(rows, m)
-    block = blocks[0].stop
-    rng = np.random.default_rng(seed)
-    h = np.empty((block, half), dtype=complex)
-    x = np.empty((block, m))
+    size = max(1, _GROUP_POINTS // m)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     out = np.empty((rows, n_points))
-    overlap = len(blocks) > 1 and _draws_lock.acquire(blocking=False)
-    pending = None
+    groups = iter(range(0, rows, size))
+    claim = threading.Lock()
+
+    def work():
+        z = np.empty((min(size, rows), m))
+        h = np.empty((min(size, rows), half), dtype=complex)
+        while True:
+            with claim:
+                start = next(groups, None)
+            if start is None:
+                return
+            rng = np.random.default_rng(np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (start // size,)))
+            g = slice(start, min(start + size, rows))
+            zg = z[: g.stop - g.start]
+            rng.standard_normal(out=zg)
+            _paths_from_normals(zg, sqrt_spec[g], h[: g.stop - g.start], zg)
+            out[g] = zg[:, :n_points]
+
+    if rows <= size or not _draws_lock.acquire(blocking=False):
+        work()
+        return out
     try:
-        z = np.empty((1 + overlap, block, m))  # the normals of block b in z[b % len(z)]
-
-        def draw(b: int):
-            rng.standard_normal(out=z[b % len(z), : blocks[b].stop - blocks[b].start])
-
-        if overlap:
-            helper = _draw_helper()
-            pending = helper.submit(draw, 0)
-        for i, b in enumerate(blocks):
-            if overlap:
-                pending.result()
-                pending = helper.submit(draw, i + 1) if i + 1 < len(blocks) else None
-            else:
-                draw(i)
-            size = b.stop - b.start
-            _paths_from_normals(z[i % len(z), :size], sqrt_spec[b], h[:size], x[:size])
-            out[b] = x[:size, :n_points]
+        helper = _draw_helper().submit(work)
+        try:
+            work()
+        finally:
+            wait([helper])  # it may still be writing into out
+        helper.result()
     finally:
-        if overlap:
-            if pending is not None:  # an error left a draw running into z
-                wait([pending])
-            _draws_lock.release()
+        _draws_lock.release()
     return out
 
 
 def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
-    """Independent rows, one per model, from one generator stream.
+    """Independent rows, one per model, each an exact draw from
+    N(0, [gamma(j-k)]) of its model.
 
-    The rows take consecutive runs of 2N standard normals from
-    default_rng(master_seed): row l takes normals 2N l .. 2N (l + 1) - 1.
-    So the result is deterministic in (models, N, master_seed), whatever the
-    block size, and each row is an exact draw from N(0, [gamma(j-k)]) of its
-    model.  No models give a (0, N) array.
+    Row l takes its 2N standard normals from the generator of its group of
+    G = max(1, _GROUP_POINTS // 2N) rows, seeded by spawn key (l // G,) off
+    master_seed (``_sample_rows``).  So the result is deterministic in
+    (models, N, master_seed), whatever the thread count or the thread that
+    drew a group, and two model lists of the same length, N and seed use the
+    same normals.  No models give a (0, N) array.
     """
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")

@@ -4,8 +4,8 @@ kernel weights (``_deconvolution_weights``), the blurred truth
 bits of their unblocked bodies at every block size and raise the same errors
 when the offending m or row lies in a later block; on a 1024 x 1024 design
 none of them holds an M x N complex temporary, nor does the sampler hold
-more than its output and four blocks; and a table kernel converts its table
-once."""
+more than its output and two 1 MB buffers per thread; and a table kernel
+converts its table once."""
 
 import pickle
 import tracemalloc
@@ -257,8 +257,9 @@ class TestPeakMemory:
     """Peaks that tracemalloc sees above what a stage is given, at M = N = 1024
     (the shipped box-car design at n = 2^20, which reads |m| <= 5); the
     unblocked bodies took 48, 17 and 8.4 MB.  The sampler holds its 8 MB
-    output and the 1 MB blocks of two normals buffers, the complex half and
-    the transform; a second normals buffer of the full size would add 16 MB."""
+    output and, on each of its two threads, a 1 MB group of normals, which the
+    transform overwrites, and its 1 MB complex half; a normals buffer of the
+    full size would add 16 MB."""
 
     @pytest.fixture(scope="class")
     def large(self):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from lrdeconv import estimator
 from lrdeconv.channels import save_kernel_table, simulate_observations
 from lrdeconv.cli import COMMANDS, _load_y, main
 from lrdeconv.config import (
@@ -30,7 +31,7 @@ from lrdeconv.config import (
     serialize_config,
 )
 from lrdeconv.errors import ConfigError
-from lrdeconv.estimator import EstimatorConfig, plan
+from lrdeconv.estimator import EstimatorConfig, fourier_deconvolve, plan
 from lrdeconv.noise import NoiseModel, autocovariance
 from lrdeconv.riskbench import MIN_REPS, BesovBall, RiskReport, mc_risk
 from testkit import bits
@@ -1131,6 +1132,42 @@ class TestBenchCommand:
             ["j0 = 3 exceeds J = 2; clamped (estimator is linear)"]]
         assert [line.split(" j0=")[0] for line in dry_lines] == [
             f"n={p['n']} M={p['M']} N={p['N']} n*={p['n_star']:.6g}" for p in plan]
+
+    def test_plan_counts_the_ill_posed_frequencies_from_the_cache(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        text = (CONFIGS / "heat-supersmooth-d04.yaml").read_text()
+        path, out = tmp_path / "cut.yaml", tmp_path / "out"
+        path.write_text(re.sub(r"n_grid: \[.*\]", "n_grid: [16384, 32768]", text)
+                        .replace("reps: 150", "reps: 30"))
+        cfg = load_config(path)
+        kernel, est = build_kernel(cfg), build_estimator_config(cfg)
+        want = []
+        for n in build_bench(cfg)[0]:
+            design = design_for_n(cfg, n)
+            y = np.zeros((design.M, design.N))
+            want.append(len(fourier_deconvolve(y, design, kernel, est.denom_tol)[1]))
+        assert want == [114, 242]  # of the full bands |m| <= 63 and 127
+        # no kernel value is evaluated while the counts are read
+        reading, during = [], []
+        kernel_fourier, count = estimator.kernel_fourier, estimator.ill_posed_frequencies
+
+        def counting_kernel(*args):
+            during.append(bool(reading))
+            return kernel_fourier(*args)
+
+        def read(*args):
+            reading.append(None)
+            try:
+                return count(*args)
+            finally:
+                reading.pop()
+
+        monkeypatch.setattr(estimator, "kernel_fourier", counting_kernel)
+        monkeypatch.setattr("lrdeconv.cli.ill_posed_frequencies", read)
+        estimator._deconvolution_weights.cache_clear()
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+        assert [p["ill_posed"] for p in read_strict_json(out / "risk_meta.json")["plan"]] == want
+        assert during and not any(during)
 
     def test_one_progress_line_per_grid_point_and_the_rows_of_one_call(self, tmp_path, capsys,
                                                                        monkeypatch):

@@ -148,11 +148,12 @@ class TestAutocovariance:
         assert gamma[0] == 1.5 ** 2
         assert np.abs(gamma[1:]).max() <= 1e-14
 
-    @pytest.mark.parametrize("d", [0.1, 0.499])
+    @pytest.mark.parametrize("d", [0.001, 0.01, 0.1, 0.499])
     def test_fgn_matches_mpmath(self, d):
         # the second difference at 50 digits, at every lag to 64 and 300 lags
         # spaced evenly in log to 2^18; the plain double-precision difference
-        # is off by up to 6.7e-6 (d = 0.1) and 3.8e-6 (d = 0.499) there
+        # is off by up to 6.7e-6 (d = 0.1) and 3.8e-6 (d = 0.499) there, and
+        # its expm1 form by 1.9e-9 (d = 0.01), 2.0e-10 (0.1) and 4.7e-11 (0.499)
         mpmath = pytest.importorskip("mpmath")
         model = NoiseModel("fgn", d, 2.0)
         lags = np.unique(np.concatenate(
@@ -164,7 +165,7 @@ class TestAutocovariance:
                                          + abs(mpmath.mpf(k - 1)) ** H2))
                               for k in lags.tolist()])
         assert gamma[0] == 4.0
-        assert np.abs(gamma / exact - 1).max() <= 1e-9
+        assert np.abs(gamma / exact - 1).max() <= 1e-13
 
     @pytest.mark.parametrize("lag", [0, 1, 5])
     def test_farima_matches_quadrature(self, lag):
@@ -240,13 +241,17 @@ class TestSamplePath:
         gamma = autocovariance(model, np.arange(n))
         assert np.abs(A.T @ A - linalg.toeplitz(gamma)).max() <= 1e-12 * gamma[0]
 
-    def test_batch_rows_are_consecutive_runs_of_one_stream(self):
+    # 512 points: one group of 128 rows; 2^15 points: groups of 2 rows
+    @pytest.mark.parametrize("n, groups", [(512, [3]), (2 ** 15, [2, 1])])
+    def test_batch_rows_are_consecutive_runs_of_their_group_stream(self, n, groups):
         models = [NoiseModel.farima(0.1), NoiseModel.farima(0.3), NoiseModel.white()]
-        batch = sample_paths(models, 512, master_seed=42)
-        z = np.random.default_rng(42).standard_normal((3, 1024))
-        sqrt_spec = noise._embedding_spectra(tuple(models), 512)
-        h, x = np.empty((3, 513), dtype=complex), np.empty((3, 1024))
-        want = noise._paths_from_normals(z, sqrt_spec, h, x)[:, :512]
+        batch = sample_paths(models, n, master_seed=42)
+        z = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence(42, spawn_key=(b,)))
+            .standard_normal((rows, 2 * n)) for b, rows in enumerate(groups)])
+        sqrt_spec = noise._embedding_spectra(tuple(models), n)
+        h, x = np.empty((3, n + 1), dtype=complex), np.empty((3, 2 * n))
+        want = noise._paths_from_normals(z, sqrt_spec, h, x)[:, :n]
         assert np.array_equal(batch, want)
 
     def test_n_points_one(self):

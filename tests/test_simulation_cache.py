@@ -1,12 +1,14 @@
 """The real-transform sampler and the cached blurred truth: ``sample_paths``
 and ``simulate_observations`` match a per-row complex-FFT sampler that embeds
-the same N + 1 lags in m = 2N points, keeps the first N and draws row l's
-normals as the l-th run of 2N from one generator, and the per-call signal
-(the signal bit for bit; the embedding spectra to within the rounding of an
-FFT of the embedding row, and the noise, on the program's spectra, to within
-1e-12 of its largest entry); they give the same bits at any block size and on
-any thread, and a call builds one generator however many rows it draws."""
+the same N + 1 lags in m = 2N points, keeps the first N and draws the rows in
+fixed groups of max(1, 2^17 // 2N), row l's normals the next run of 2N from
+the generator of its group, and the per-call signal (the signal bit for bit;
+the embedding spectra to within the rounding of an FFT of the embedding row,
+and the noise, on the program's spectra, to within 1e-12 of its largest
+entry); they give the same bits at any block size and on any thread, and a
+call builds one generator per group of rows."""
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,8 +36,12 @@ from testkit import bits, reference_blurred_truth
 # The sampler without blocks or real transforms: one complex-FFT spectrum per
 # model, the weights built row by row in complex arithmetic, and a complex FFT
 # of the full embedding.  An N-point path is the first N points of the
-# minimal circulant embedding of N + 1 lags, m = 2N, and row l takes normals
-# 2N l .. 2N (l + 1) - 1 of the one generator default_rng(seed).
+# minimal circulant embedding of N + 1 lags, m = 2N.  The rows fall in groups of
+# G = max(1, GROUP_POINTS // m): group b holds rows bG .. (b + 1)G - 1, which
+# take consecutive runs of m normals from the generator of spawn key (b,) off
+# the seed.
+
+GROUP_POINTS = 2 ** 17
 
 def reference_embedding_spectrum(model, n_lags):
     """sqrt(spectrum / m) of the minimal embedding of n_lags lags, m = 2(n_lags - 1)."""
@@ -63,12 +69,25 @@ def as_seed_sequence(seed):
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def reference_paths(sqrt_spectra, n_points, master_seed):
+def group_generators(master_seed, m, group_points=GROUP_POINTS):
+    """The generator of each row: row l uses that of group l // G."""
+    root = as_seed_sequence(master_seed)
+    size = max(1, group_points // m)
+    group = None
+    for l in itertools.count():
+        if l % size == 0:
+            group = np.random.default_rng(
+                np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (l // size,)))
+        yield group
+
+
+def reference_paths(sqrt_spectra, n_points, master_seed, group_points=GROUP_POINTS):
     """Row i: fft(s_i xi_i)[:n_points], s_i = sqrt_spectra[i] over the m = 2N
-    embedding frequencies and xi_i from the i-th run of 2N normals."""
-    rng = np.random.default_rng(as_seed_sequence(master_seed))
-    weighted = np.array([s * reference_draw_embedding_normals(rng, s.size)
-                         for s in sqrt_spectra])
+    embedding frequencies and xi_i from the next run of 2N normals of row i's
+    group generator."""
+    m = 2 * n_points
+    weighted = np.array([s * reference_draw_embedding_normals(rng, m) for s, rng in
+                         zip(sqrt_spectra, group_generators(master_seed, m, group_points))])
     return np.fft.fft(weighted, axis=1).real[:, :n_points].copy()
 
 
@@ -102,8 +121,9 @@ seeds_st = st.one_of(
     st.builds(np.random.SeedSequence, st.integers(0, 2 ** 32 - 1),
               spawn_key=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=3).map(tuple)),
 )
-# blocks of one row, of a few rows, and the default of one block for these sizes
-block_st = st.sampled_from([1, 600, 5000, noise._BLOCK_POINTS])
+# groups of one row, of a few rows, and the contract's size, one group of
+# these rows
+group_st = st.sampled_from([1, 600, 5000, GROUP_POINTS])
 
 
 class TestSamplerMatchesReference:
@@ -112,21 +132,22 @@ class TestSamplerMatchesReference:
     # eps (1 + log2 m) sum|c| (eps log2(m) sum|c| for the FFT, near d = 1/2 no
     # longer small beside the peak, and eps sum|c| for the square root that
     # the program keeps and the check squares), then the paths against the
-    # reference's weights and transform of the program's spectra.
+    # reference's weights and transform of the program's spectra.  The group
+    # size is patched, to reach several groups at these sizes.
     @settings(max_examples=200, deadline=None)
     @given(models=st.lists(models_st, min_size=1, max_size=13),
-           n_points=st.integers(1, 4096), seed=seeds_st, block=block_st)
+           n_points=st.integers(1, 4096), seed=seeds_st, group=group_st)
     # a subnormal d once gave a NaN row, whose NaN sign bits differed
     @example(models=[NoiseModel.white(1.0)] * 11 + [NoiseModel.farima(2.225073858507e-311)],
-             n_points=128, seed=0, block=1)
-    @example(models=[NoiseModel.fgn(0.9)] * 3, n_points=2, seed=1, block=1)
+             n_points=128, seed=0, group=1)
+    @example(models=[NoiseModel.fgn(0.9)] * 3, n_points=2, seed=1, group=1)
     @example(models=[NoiseModel.farima(0.45), NoiseModel.white(), NoiseModel.fgn(0.6)],
-             n_points=4096, seed=2, block=noise._BLOCK_POINTS)
+             n_points=4096, seed=2, group=GROUP_POINTS)
     # the spectrum of d = 0.499 at N = 3239 put the paths 1.1e-12 of their
     # largest entry from the reference's own spectrum
     @example(models=[NoiseModel.white()] * 3 + [NoiseModel.farima(0.499)],
-             n_points=3239, seed=0, block=noise._BLOCK_POINTS)
-    def test_sample_paths(self, models, n_points, seed, block):
+             n_points=3239, seed=0, group=GROUP_POINTS)
+    def test_sample_paths(self, models, n_points, seed, group):
         m = 2 * n_points
         sqrt_spectra = noise._embedding_spectra(tuple(models), n_points)
         assert sqrt_spectra.shape == (len(models), n_points + 1)
@@ -137,13 +158,16 @@ class TestSamplerMatchesReference:
             bound = np.finfo(float).eps * (1 + math.log2(m)) * np.abs(c).sum()
             assert np.abs(row ** 2 * m - want).max() <= bound
 
-        with mock.patch.object(noise, "_BLOCK_POINTS", block):
+        with mock.patch.object(noise, "_GROUP_POINTS", group):
             got = sample_paths(models, n_points, seed)
         assert got.shape == (len(models), n_points)
         full = np.concatenate([sqrt_spectra, sqrt_spectra[:, -2:0:-1]], axis=1)
-        assert_close(got, reference_paths(full, n_points, seed))
+        assert_close(got, reference_paths(full, n_points, seed, group))
 
-    @pytest.mark.parametrize("M, N", [(64, 1024), (70, 2048)])  # one block; 32 + 32 + 6 rows
+    def test_group_size_is_the_contracts(self):
+        assert noise._GROUP_POINTS == GROUP_POINTS
+
+    @pytest.mark.parametrize("M, N", [(64, 1024), (70, 2048)])  # one group; 32 + 32 + 6 rows
     def test_fixed_sizes(self, M, N):
         models = [NoiseModel.farima(0.1 + 0.2 * l / M) for l in range(1, M + 1)]
         models[::5] = [NoiseModel.fgn(0.8)] * len(models[::5])
@@ -158,13 +182,15 @@ class TestSamplerMatchesReference:
 class TestSamplerBits:
     @settings(max_examples=150, deadline=None)
     @given(models=st.lists(models_st, min_size=1, max_size=13),
-           n_points=st.integers(1, 4096), seed=seeds_st, block=block_st)
-    def test_bits_do_not_depend_on_the_block_size(self, models, n_points, seed, block):
-        want = sample_paths(models, n_points, seed)
-        with mock.patch.object(noise, "_BLOCK_POINTS", block):
-            assert bits(sample_paths(models, n_points, seed)) == bits(want)
+           n_points=st.integers(1, 4096), seed=seeds_st,
+           block=st.sampled_from([1, 600, 5000, noise._BLOCK_POINTS]), group=group_st)
+    def test_bits_do_not_depend_on_the_block_size(self, models, n_points, seed, block, group):
+        with mock.patch.object(noise, "_GROUP_POINTS", group):
+            want = sample_paths(models, n_points, seed)
+            with mock.patch.object(noise, "_BLOCK_POINTS", block):
+                assert bits(sample_paths(models, n_points, seed)) == bits(want)
 
-    def test_a_call_builds_one_generator(self, monkeypatch):
+    def test_a_call_builds_one_generator_per_group(self, monkeypatch):
         calls = []
         default_rng = np.random.default_rng
 
@@ -176,7 +202,9 @@ class TestSamplerBits:
         models = [NoiseModel.farima(0.1 + 0.3 * l / 1024) for l in range(1024)]
         y = sample_paths(models, 1024, np.random.SeedSequence(5, spawn_key=(2 ** 20, 0)))
         assert y.shape == (1024, 1024)
-        assert len(calls) == 1
+        # groups of 2^17 // 2048 = 64 rows, spawn keys (2^20, 0, b)
+        assert sorted(seq.spawn_key for seq, in calls) == [(2 ** 20, 0, b) for b in range(16)]
+        assert {seq.entropy for seq, in calls} == {5}
 
     def test_spectra_do_not_depend_on_the_block_size(self):
         models = tuple(NoiseModel.farima(0.4 * l / 9) for l in range(9)) + (NoiseModel.fgn(0.7),)
