@@ -49,7 +49,8 @@ __all__ = [
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Estimator knobs: threshold constant mu, kernel decay (nu, lambda1) or
-    super-smooth parameters (alpha1, beta), and numeric tolerances."""
+    super-smooth parameters (alpha1, beta), and numeric tolerances.  The Meyer
+    basis has one auxiliary function, so ``aux_poly`` accepts "poly7" alone."""
 
     mu: float = 1.0
     nu: float = 1.0
@@ -58,6 +59,8 @@ class EstimatorConfig:
     beta: float = 1.0
     denom_tol: float = 1e-12
     level_override: tuple | None = None
+    # no config key reaches it: it stays only for perfbench/workloads.py, which
+    # reads it into MeyerSpec, until the benchmark drops that read
     aux_poly: str = "poly7"
 
     def __post_init__(self):
@@ -78,6 +81,8 @@ class EstimatorConfig:
             j0, J = self.level_override
             if not 0 <= j0 <= J:
                 raise ConfigError("level_override must satisfy 0 <= j0 <= J")
+        if self.aux_poly != "poly7":
+            raise ConfigError(f"unknown auxiliary function {self.aux_poly!r}")
 
     @property
     def supersmooth(self) -> bool:
@@ -288,7 +293,7 @@ def plan(design: ChannelDesign, config: EstimatorConfig) -> Plan:
     eps, n_star = epsilon_n(design)
     j0, J, warnings = choose_levels(n_star, config, design.N)
     return Plan(n=design.n, M=design.M, N=design.N, epsilon_n=eps, n_star=n_star,
-                j0=j0, J=J, band=needed_band(MeyerSpec(j0, J, config.aux_poly)),
+                j0=j0, J=J, band=needed_band(MeyerSpec(j0, J)),
                 thresholds=not config.supersmooth and J > j0, warnings=tuple(warnings))
 
 
@@ -342,7 +347,7 @@ def estimate(y: np.ndarray, design: ChannelDesign, kernel: BlurKernel,
              config: EstimatorConfig) -> EstimateResult:
     """Full pipeline on the design's plan: deconvolve, analyze, threshold, synthesize."""
     p = plan(design, config)
-    spec = MeyerSpec(p.j0, p.J, config.aux_poly)
+    spec = MeyerSpec(p.j0, p.J)
     f_hat, ill_posed = fourier_deconvolve(y, design, kernel, config.denom_tol, band=p.band)
     coeffs = analyze(f_hat, spec)
 

@@ -43,41 +43,28 @@ __all__ = [
 SUPPORT_TOL = 1e-14
 
 
-def _nu_poly7(x: np.ndarray) -> np.ndarray:
-    # C^3 auxiliary polynomial x^4 (35 - 84 x + 70 x^2 - 20 x^3) on [0, 1]
-    xc = np.clip(x, 0.0, 1.0)
+def meyer_aux(x) -> np.ndarray:
+    """Auxiliary function nu(x) = x^4 (35 - 84 x + 70 x^2 - 20 x^3) on x clipped
+    to [0, 1]: C^3, 0 for x <= 0, 1 for x >= 1, and nu(x) + nu(1 - x) = 1."""
+    xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     return xc ** 4 * (35.0 - 84.0 * xc + 70.0 * xc ** 2 - 20.0 * xc ** 3)
-
-
-def _nu_poly3(x: np.ndarray) -> np.ndarray:
-    # C^1 alternative x^2 (3 - 2 x)
-    xc = np.clip(x, 0.0, 1.0)
-    return xc ** 2 * (3.0 - 2.0 * xc)
-
-
-_AUX = {"poly7": _nu_poly7, "poly3": _nu_poly3}
-
-
-def meyer_aux(x, aux_poly: str = "poly7") -> np.ndarray:
-    """Auxiliary function nu: 0 for x <= 0, 1 for x >= 1, nu(x)+nu(1-x) = 1."""
-    try:
-        return _AUX[aux_poly](np.asarray(x, dtype=float))
-    except KeyError:
-        raise ConfigError(f"unknown auxiliary function {aux_poly!r}") from None
 
 
 @dataclass(frozen=True)
 class MeyerSpec:
-    """Level range [j0, J) and auxiliary-function choice for the basis."""
+    """Level range [j0, J) of the basis, which has one auxiliary function,
+    ``meyer_aux``."""
 
     j0: int
     J: int
+    # accepts "poly7" alone; it stays only for perfbench/workloads.py, which
+    # passes EstimatorConfig.aux_poly here, until the benchmark drops that read
     aux_poly: str = "poly7"
 
     def __post_init__(self):
         if not 0 <= self.j0 <= self.J:
             raise ConfigError(f"levels must satisfy 0 <= j0 <= J, got ({self.j0}, {self.J})")
-        if self.aux_poly not in _AUX:
+        if self.aux_poly != "poly7":
             raise ConfigError(f"unknown auxiliary function {self.aux_poly!r}")
 
     @property
@@ -114,41 +101,51 @@ class WaveletCoefficients:
         return WaveletCoefficients(self.spec, self.values.copy())
 
 
-def scaling_ft(spec: MeyerSpec, omega) -> np.ndarray:
-    """phi_hat(w): 1 on |w| <= 2 pi/3, cosine taper to 0 at |w| = 4 pi/3."""
+def _phi_hat(omega) -> np.ndarray:
     w = np.abs(np.asarray(omega, dtype=float))
-    nu = meyer_aux(3.0 * w / (2.0 * np.pi) - 1.0, spec.aux_poly)
+    nu = meyer_aux(3.0 * w / (2.0 * np.pi) - 1.0)
     return np.where(w <= 2 * np.pi / 3, 1.0,
                     np.where(w < 4 * np.pi / 3, np.cos(np.pi / 2 * nu), 0.0))
 
 
-def wavelet_ft(spec: MeyerSpec, omega) -> np.ndarray:
-    """psi_hat(w) = exp(i w / 2) * window(|w|), supported on 2 pi/3 <= |w| <= 8 pi/3."""
+def _psi_hat(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     a = np.abs(w)
-    lo = np.sin(np.pi / 2 * meyer_aux(3.0 * a / (2.0 * np.pi) - 1.0, spec.aux_poly))
-    hi = np.cos(np.pi / 2 * meyer_aux(3.0 * a / (4.0 * np.pi) - 1.0, spec.aux_poly))
+    lo = np.sin(np.pi / 2 * meyer_aux(3.0 * a / (2.0 * np.pi) - 1.0))
+    hi = np.cos(np.pi / 2 * meyer_aux(3.0 * a / (4.0 * np.pi) - 1.0))
     window = np.where((a > 2 * np.pi / 3) & (a <= 4 * np.pi / 3), lo,
                       np.where((a > 4 * np.pi / 3) & (a < 8 * np.pi / 3), hi, 0.0))
     return np.exp(1j * w / 2.0) * window
 
 
-def _level_window(spec: MeyerSpec, j: int, m: np.ndarray, kind: str) -> np.ndarray:
+def scaling_ft(spec: MeyerSpec, omega) -> np.ndarray:
+    """phi_hat(w): 1 on |w| <= 2 pi/3, cosine taper to 0 at |w| = 4 pi/3; the same
+    for every spec."""
+    return _phi_hat(omega)
+
+
+def wavelet_ft(spec: MeyerSpec, omega) -> np.ndarray:
+    """psi_hat(w) = exp(i w / 2) * window(|w|), supported on 2 pi/3 <= |w| <= 8 pi/3;
+    the same for every spec."""
+    return _psi_hat(omega)
+
+
+def _level_window(j: int, m: np.ndarray, kind: str) -> np.ndarray:
     omega = 2.0 * np.pi * m / float(2 ** j)
     if kind == "wavelet":
-        return wavelet_ft(spec, omega)
+        return _psi_hat(omega)
     if kind == "scaling":
-        return scaling_ft(spec, omega).astype(complex)
+        return _phi_hat(omega).astype(complex)
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
 @functools.lru_cache(maxsize=256)
-def _level_cache(aux_poly: str, j: int, kind: str) -> tuple:
+def _level_cache(j: int, kind: str) -> tuple:
     """Level j's members m (|window| > SUPPORT_TOL), residues m mod 2^j,
     conjugate window (analysis) and window times 2^(-j/2) (synthesis); read-only."""
     limit = int(np.ceil(2 ** (j + 2) / 3.0)) + 2
     m = np.arange(-limit, limit + 1)
-    window = _level_window(MeyerSpec(0, 0, aux_poly), j, m, kind)
+    window = _level_window(j, m, kind)
     keep = np.abs(window) > SUPPORT_TOL
     members, window = m[keep], window[keep]
     arrays = (members, np.mod(members, 2 ** j), np.conj(window), 2.0 ** (-j / 2.0) * window)
@@ -161,14 +158,14 @@ def frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
     """C_j = {m: psi_{mjk} != 0}; contained in 2^j < 3|m| < 2^(j+2)."""
     if j < 0:
         raise ConfigError("level must be >= 0")
-    return FrequencySet(_level_cache(spec.aux_poly, j, "wavelet")[0])
+    return FrequencySet(_level_cache(j, "wavelet")[0])
 
 
 def scaling_frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
     """Frequencies touched by the level-j scaling functions: 3|m| < 2^(j+1)."""
     if j < 0:
         raise ConfigError("level must be >= 0")
-    return FrequencySet(_level_cache(spec.aux_poly, j, "scaling")[0])
+    return FrequencySet(_level_cache(j, "scaling")[0])
 
 
 def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") -> np.ndarray:
@@ -180,7 +177,7 @@ def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") 
     if not 0 <= k < 2 ** j:
         raise ConfigError(f"shift must satisfy 0 <= k < 2^j, got k={k} at j={j}")
     m_arr = np.asarray(m, dtype=int)
-    window = _level_window(spec, j, m_arr, kind)
+    window = _level_window(j, m_arr, kind)
     phase = np.exp(-2j * np.pi * m_arr * k / float(2 ** j))
     return 2.0 ** (-j / 2.0) * phase * window
 
@@ -190,7 +187,7 @@ def needed_band(spec: MeyerSpec) -> int:
     J-1's wavelet set, or of the level-j0 scaling set when J = j0, as a detail window
     2^j < 3|m| < 2^(j+2) grows with j and holds the scaling window 3|m| < 2^(j0+1)."""
     j, kind = (spec.J - 1, "wavelet") if spec.J > spec.j0 else (spec.j0, "scaling")
-    return int(_level_cache(spec.aux_poly, j, kind)[0][-1])
+    return int(_level_cache(j, kind)[0][-1])
 
 
 def _levels(coeffs: WaveletCoefficients):
@@ -214,7 +211,7 @@ def analyze(f: FourierSeries, spec: MeyerSpec) -> WaveletCoefficients:
 
     coeffs = WaveletCoefficients.zeros(spec)
     for j, kind, view in _levels(coeffs):
-        members, residues, conj_window, _ = _level_cache(spec.aux_poly, j, kind)
+        members, residues, conj_window, _ = _level_cache(j, kind)
         grouped = np.zeros(2 ** j, dtype=complex)
         np.add.at(grouped, residues, f.values[members + f.band] * conj_window)
         np.multiply(2.0 ** (j / 2.0), np.fft.ifft(grouped), out=view)
@@ -227,7 +224,7 @@ def synthesize_series(coeffs: WaveletCoefficients) -> FourierSeries:
     band = needed_band(coeffs.spec)
     values = np.zeros(2 * band + 1, dtype=complex)
     for j, kind, vec in _levels(coeffs):
-        members, residues, _, scaled_window = _level_cache(coeffs.spec.aux_poly, j, kind)
+        members, residues, _, scaled_window = _level_cache(j, kind)
         phases = np.fft.fft(vec)  # sum_k vec_k exp(-2 pi i k m / 2^j) at m mod 2^j
         values[members + band] += scaled_window * phases[residues]
     return FourierSeries(band, values)

@@ -306,10 +306,7 @@ def sample_paths(models, n_points: int, master_seed) -> np.ndarray:
     """
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
-    models = tuple(models)
-    if not models:
-        return np.empty((0, n_points))
-    return _sample_rows(master_seed, _embedding_spectra(models, n_points), n_points)
+    return _sample_rows(master_seed, _embedding_spectra(tuple(models), n_points), n_points)
 
 
 def toeplitz_eigen_bounds(model: NoiseModel, n_points: int) -> CovarianceSummary:

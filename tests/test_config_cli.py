@@ -655,6 +655,18 @@ class TestCliValidation:
         assert build_bench(load_config(write_config(tmp_path, BASE_CONFIG, "ok.yaml")[0]))[1] \
             == MIN_REPS
 
+    @pytest.mark.parametrize("aux", ["poly7", "poly3"])
+    def test_auxiliary_function_key_exits_1_at_load(self, tmp_path, capsys, aux):
+        # the basis has one auxiliary function, so no config key names it
+        path, out = write_config(tmp_path, BASE_CONFIG.replace(
+            "estimator:\n", f"estimator:\n  aux_poly: {aux}\n"))
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), *dry_run])
+                assert (code, *capsys.readouterr()) == (
+                    1, "", "config error: unknown keys in 'estimator': ['aux_poly']\n")
+        assert not out.exists()
+
     def test_truth_band_above_a_design_band_exits_1_at_load(self, tmp_path, capsys):
         # design.n = 65536 has N = 256, so the alias-free band is 127
         text = (CONFIGS / "boxcar-regular.yaml").read_text()

@@ -221,8 +221,8 @@ class TestWeightCache:
         kernel = make_kernel("table", design.u, 128, seed=3)
         cached = [a for a in _deconvolution_weights(design, kernel, 1e-12, 10)
                   if isinstance(a, np.ndarray)]
-        cached += list(_level_cache("poly7", 4, "wavelet"))
-        cached += list(_level_cache("poly7", 3, "scaling"))
+        cached += list(_level_cache(4, "wavelet"))
+        cached += list(_level_cache(3, "scaling"))
         assert len(cached) == 11
         for a in cached:
             with pytest.raises(ValueError):

@@ -65,16 +65,23 @@ class TestAuxiliary:
         assert meyer_aux(-0.5) == 0.0
         assert meyer_aux(1.2) == 1.0
 
-    @pytest.mark.parametrize("aux", ["poly7", "poly3"])
-    def test_partition_identity(self, aux):
+    def test_partition_identity(self):
         x = np.linspace(0, 1, 501)
-        assert meyer_aux(x, aux) + meyer_aux(1 - x, aux) == pytest.approx(
+        assert meyer_aux(x) + meyer_aux(1 - x) == pytest.approx(
             np.ones_like(x), abs=1e-12
         )
 
-    def test_unknown_aux(self):
-        with pytest.raises(ConfigError):
-            meyer_aux(0.5, "poly9")
+    @pytest.mark.parametrize("make", [lambda aux: MeyerSpec(0, 0, aux),
+                                      lambda aux: EstimatorConfig(aux_poly=aux)],
+                             ids=["MeyerSpec", "EstimatorConfig"])
+    def test_other_auxiliary_names_raise(self, make):
+        make("poly7")
+        for aux in ("poly3", "poly9", ""):
+            with pytest.raises(ConfigError, match=r"^unknown auxiliary function"):
+                make(aux)
+
+    def test_one_basis_per_level_range(self):
+        assert MeyerSpec(3, 7, "poly7") == MeyerSpec(3, 7)
 
 
 class TestClosedForms:
@@ -130,10 +137,9 @@ class TestFrequencySets:
                 if abs(periodized_coeff(SPEC, j, 0, m)) > 1e-14]
         assert list(frequency_set(SPEC, j).members) == scan
 
-    @pytest.mark.parametrize("aux_poly", ["poly7", "poly3"])
-    def test_needed_band_is_the_widest_member(self, aux_poly):
+    def test_needed_band_is_the_widest_member(self):
         # largest |m| with a window above SUPPORT_TOL, scanned level by level
-        spec = MeyerSpec(0, 0, aux_poly)
+        spec = MeyerSpec(0, 0)
 
         def widest(j, window):
             m = np.arange(0, 2 ** (j + 2) + 1)
@@ -144,7 +150,7 @@ class TestFrequencySets:
         for J in range(15):
             for j0 in range(J + 1):
                 expected = max([scaling[j0]] + detail[j0:J])
-                assert needed_band(MeyerSpec(j0, J, aux_poly)) == expected, (j0, J)
+                assert needed_band(MeyerSpec(j0, J)) == expected, (j0, J)
 
     def test_only_adjacent_levels_overlap(self):
         sets = {j: set(frequency_set(SPEC, j).members.tolist()) for j in range(0, 9)}
@@ -158,15 +164,13 @@ class TestLevelCache:
     """One window evaluation per level gives the same bits as scanning the
     window for its support and evaluating it again on the members."""
 
-    @pytest.mark.parametrize("aux_poly", ["poly7", "poly3"])
     @pytest.mark.parametrize("kind", ["scaling", "wavelet"])
     @pytest.mark.parametrize("j", range(0, 21))
-    def test_matches_scan_then_evaluate(self, j, kind, aux_poly):
-        spec = MeyerSpec(0, 0, aux_poly)
+    def test_matches_scan_then_evaluate(self, j, kind):
         scan = np.arange(-2 ** (j + 1), 2 ** (j + 1) + 1)  # wider than 2^(j+2)/3
-        members = scan[np.abs(_level_window(spec, j, scan, kind)) > SUPPORT_TOL]
-        window = _level_window(spec, j, members, kind)
-        got = _level_cache(aux_poly, j, kind)
+        members = scan[np.abs(_level_window(j, scan, kind)) > SUPPORT_TOL]
+        window = _level_window(j, members, kind)
+        got = _level_cache(j, kind)
         want = (members, np.mod(members, 2 ** j), np.conj(window),
                 2.0 ** (-j / 2.0) * window)
         for a, b in zip(got, want):
@@ -289,7 +293,7 @@ def reference_analyze(f, spec):
     one inverse FFT per level: the reference for the flat layout."""
 
     def level_coeffs(j, kind):
-        members, residues, conj_window, _ = _level_cache(spec.aux_poly, j, kind)
+        members, residues, conj_window, _ = _level_cache(j, kind)
         grouped = np.zeros(2 ** j, dtype=complex)
         np.add.at(grouped, residues, f.values[members + f.band] * conj_window)
         return 2.0 ** (j / 2.0) * np.fft.ifft(grouped)
@@ -305,7 +309,7 @@ def reference_synthesize(scaling, detail, spec):
     values = np.zeros(2 * band + 1, dtype=complex)
 
     def add_level(j, vec, kind):
-        members, residues, _, scaled_window = _level_cache(spec.aux_poly, j, kind)
+        members, residues, _, scaled_window = _level_cache(j, kind)
         phases = np.fft.fft(vec)
         values[members + band] += scaled_window * phases[residues]
 
@@ -354,7 +358,7 @@ class TestFlatLayout:
 
     @pytest.mark.parametrize("j0, J", [(0, 0), (0, 1), (0, 5), (3, 3), (3, 7)])
     def test_coefficients_carry_their_basis(self, j0, J):
-        spec = MeyerSpec(j0, J, "poly3")
+        spec = MeyerSpec(j0, J)
         zeros = WaveletCoefficients.zeros(spec)
         twin = WaveletCoefficients(spec, np.arange(2 ** J)).copy()
         for coeffs in (zeros, twin):
@@ -436,7 +440,7 @@ def synthesize_in_spec(coeffs, spec):
     levels = [(spec.j0, "scaling", coeffs.scaling)]
     levels += [(j, "wavelet", coeffs.detail[j]) for j in range(coeffs.j0, coeffs.J)]
     for j, kind, vec in levels:
-        members, residues, _, scaled_window = _level_cache(spec.aux_poly, j, kind)
+        members, residues, _, scaled_window = _level_cache(j, kind)
         phases = np.fft.fft(vec)
         values[members + band] += scaled_window * phases[residues]
     return FourierSeries(band, values)
@@ -448,14 +452,14 @@ class TestOwnBasis:
 
     @settings(max_examples=60, deadline=None)
     @given(levels=st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted),
-           aux_poly=st.sampled_from(["poly7", "poly3"]), seed=st.integers(0, 2 ** 32 - 1))
-    @example(levels=[0, 0], aux_poly="poly3", seed=1)
-    @example(levels=[0, 12], aux_poly="poly7", seed=2)
-    @example(levels=[3, 11], aux_poly="poly3", seed=3)
-    @example(levels=[12, 12], aux_poly="poly7", seed=4)
-    def test_same_bits_as_synthesis_with_the_matching_spec(self, levels, aux_poly, seed):
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(levels=[0, 0], seed=1)
+    @example(levels=[0, 12], seed=2)
+    @example(levels=[3, 11], seed=3)
+    @example(levels=[12, 12], seed=4)
+    def test_same_bits_as_synthesis_with_the_matching_spec(self, levels, seed):
         j0, J = levels
-        spec = MeyerSpec(j0, J, aux_poly)
+        spec = MeyerSpec(j0, J)
         rng = np.random.default_rng(seed)
         coeffs = WaveletCoefficients(spec, rng.normal(size=2 ** J) + 1j * rng.normal(size=2 ** J))
         got = synthesize_series(coeffs)
