@@ -162,7 +162,8 @@ class TestFrequencySets:
 
 class TestLevelCache:
     """One window evaluation per level gives the same bits as scanning the
-    window for its support and evaluating it again on the members."""
+    window for its support and evaluating it again on the members, and each
+    level's cached windows keep the basis' symmetry, band and two-scale identity."""
 
     @pytest.mark.parametrize("kind", ["scaling", "wavelet"])
     @pytest.mark.parametrize("j", range(0, 21))
@@ -176,6 +177,37 @@ class TestLevelCache:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["scaling", "wavelet"])
+    @pytest.mark.parametrize("j", range(0, 21))
+    def test_level_is_real_and_inside_its_band(self, j, kind):
+        # members are symmetric about 0 and lie in the documented band; the
+        # synthesis window is Hermitian (real basis elements) and bounded by 2^(-j/2)
+        members, _, _, scaled_window = _level_cache(j, kind)
+        assert np.array_equal(members, -members[::-1])
+        three_m = 3 * np.abs(members)
+        if kind == "scaling":
+            assert np.all(three_m < 2 ** (j + 1))
+        else:
+            assert np.all((2 ** j < three_m) & (three_m < 2 ** (j + 2)))
+        np.testing.assert_allclose(scaled_window[::-1], np.conj(scaled_window),
+                                   rtol=0, atol=1e-15)
+        assert np.all(np.abs(scaled_window) <= 2.0 ** (-j / 2.0) * (1 + 1e-15))
+
+    @pytest.mark.parametrize("j", range(0, 21))
+    def test_two_scale_identity(self, j):
+        # V_{j+1} = V_j + W_j frequency by frequency:
+        # |phi_hat(w/2)|^2 = |phi_hat(w)|^2 + |psi_hat(w)|^2 at w = 2 pi m / 2^j
+        band = int(_level_cache(j + 1, "scaling")[0][-1])
+        power = {}
+        for level, kind in ((j + 1, "scaling"), (j, "scaling"), (j, "wavelet")):
+            members, _, _, scaled_window = _level_cache(level, kind)
+            dense = np.zeros(2 * band + 1)
+            dense[members + band] = np.abs(scaled_window * 2.0 ** (level / 2.0)) ** 2
+            power[level, kind] = dense
+        np.testing.assert_allclose(power[j + 1, "scaling"],
+                                   power[j, "scaling"] + power[j, "wavelet"],
+                                   rtol=0, atol=1e-14)
 
 
 class TestPeriodizedCoefficients:
