@@ -29,7 +29,7 @@ from .errors import ConfigError, require_int, require_seed
 from .estimator import EstimatorConfig, plan
 from .fourier import FourierSeries
 from .noise import DENSE_EIGEN_LIMIT, NoiseModel
-from .riskbench import MIN_REPS, BesovBall, make_test_function
+from .riskbench import MIN_REPS, BesovBall, make_test_function, theoretical_rate
 
 __all__ = [
     "RunConfig",
@@ -134,7 +134,8 @@ def validate_config(cfg: RunConfig):
     ``bench.n_grid`` point and each object the commands build, and checks
     the truth's band against every design built and, when the config has an
     ``estimator`` section, the estimation plan of each (a config without one
-    may serve ``eigencheck`` or ``characterize`` alone).
+    may serve ``eigencheck`` or ``characterize`` alone).  A ``bench.ball``
+    builds the rate forecast that ``bench`` reports for it.
     The kernel table is not read here: the commands read it, and a missing
     one is an I/O failure.
     """
@@ -143,7 +144,10 @@ def validate_config(cfg: RunConfig):
     truth = None if cfg.truth is None else build_truth(cfg)
     est = build_estimator_config(cfg)
     if cfg.bench is not None:
-        designs += [design_for_n(cfg, n) for n in build_bench(cfg)[0]]
+        n_grid, _, ball = build_bench(cfg)
+        designs += [design_for_n(cfg, n) for n in n_grid]
+        if ball is not None:
+            theoretical_rate(ball, est.nu, est.lambda1, est.alpha1, est.beta)
     for built in designs:
         if truth is not None:
             require_alias_free(truth, built)

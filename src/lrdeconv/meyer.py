@@ -101,14 +101,16 @@ class WaveletCoefficients:
         return WaveletCoefficients(self.spec, self.values.copy())
 
 
-def _phi_hat(omega) -> np.ndarray:
+def scaling_ft(omega) -> np.ndarray:
+    """phi_hat(w): 1 on |w| <= 2 pi/3, cosine taper to 0 at |w| = 4 pi/3."""
     w = np.abs(np.asarray(omega, dtype=float))
     nu = meyer_aux(3.0 * w / (2.0 * np.pi) - 1.0)
     return np.where(w <= 2 * np.pi / 3, 1.0,
                     np.where(w < 4 * np.pi / 3, np.cos(np.pi / 2 * nu), 0.0))
 
 
-def _psi_hat(omega) -> np.ndarray:
+def wavelet_ft(omega) -> np.ndarray:
+    """psi_hat(w) = exp(i w / 2) * window(|w|), supported on 2 pi/3 <= |w| <= 8 pi/3."""
     w = np.asarray(omega, dtype=float)
     a = np.abs(w)
     lo = np.sin(np.pi / 2 * meyer_aux(3.0 * a / (2.0 * np.pi) - 1.0))
@@ -118,24 +120,12 @@ def _psi_hat(omega) -> np.ndarray:
     return np.exp(1j * w / 2.0) * window
 
 
-def scaling_ft(spec: MeyerSpec, omega) -> np.ndarray:
-    """phi_hat(w): 1 on |w| <= 2 pi/3, cosine taper to 0 at |w| = 4 pi/3; the same
-    for every spec."""
-    return _phi_hat(omega)
-
-
-def wavelet_ft(spec: MeyerSpec, omega) -> np.ndarray:
-    """psi_hat(w) = exp(i w / 2) * window(|w|), supported on 2 pi/3 <= |w| <= 8 pi/3;
-    the same for every spec."""
-    return _psi_hat(omega)
-
-
 def _level_window(j: int, m: np.ndarray, kind: str) -> np.ndarray:
     omega = 2.0 * np.pi * m / float(2 ** j)
     if kind == "wavelet":
-        return _psi_hat(omega)
+        return wavelet_ft(omega)
     if kind == "scaling":
-        return _phi_hat(omega).astype(complex)
+        return scaling_ft(omega).astype(complex)
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
@@ -168,7 +158,7 @@ def scaling_frequency_set(spec: MeyerSpec, j: int) -> FrequencySet:
     return FrequencySet(_level_cache(j, "scaling")[0])
 
 
-def periodized_coeff(spec: MeyerSpec, j: int, k: int, m, kind: str = "wavelet") -> np.ndarray:
+def periodized_coeff(j: int, k: int, m, kind: str = "wavelet") -> np.ndarray:
     """m-th Fourier coefficient of the periodized basis element (j, k).
 
     Satisfies |psi_{mjk}| <= 2^(-j/2); the shift k only contributes the

@@ -17,10 +17,10 @@ The embedding is nonnegative for FARIMA(0, d, 0) and fGn with 0 <= d < 1/2
 of one call are drawn in fixed groups of max(1, 2^17 // 2N) rows, group b
 from the generator of spawn key (b,) off the call's seed, each path taking
 the next run of 2N standard normals of its group's generator.  A call of
-more than one group shares its groups between the calling thread and the
-process's one helper thread, when no other call holds that thread; each
-group has its own generator, so the bits do not depend on which thread drew
-it.
+more than one group made on the main thread shares its groups with the
+process's one helper thread, which serves the main thread only; a call on
+any other thread draws every group itself.  Each group has its own
+generator, so the bits do not depend on which thread drew it.
 """
 
 from __future__ import annotations
@@ -225,17 +225,10 @@ def _paths_from_normals(z: np.ndarray, sqrt_spec: np.ndarray, h: np.ndarray,
 
 
 # The one helper thread of the process, which draws and transforms groups of
-# rows beside the calling thread (``_sample_rows``).  It is made on first use by
-# a call holding ``_draws_lock``, which gives it to one call at a time.
-_draws = None
-_draws_lock = threading.Lock()
-
-
-def _draw_helper() -> ThreadPoolExecutor:
-    global _draws
-    if _draws is None:
-        _draws = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lrdeconv-draws")
-    return _draws
+# rows beside the main thread (``_sample_rows``); its thread starts on the
+# first submit.  Only the main thread submits, and it waits for the helper
+# before it returns, so the helper serves one call at a time.
+_draws = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lrdeconv-draws")
 
 
 def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
@@ -246,13 +239,13 @@ def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
     default_rng(SeedSequence(entropy, spawn_key=key + (b,))), (entropy, key)
     the seed's (an int seed has key ()).
 
-    With more than one group, the process's helper thread, when no other call
-    holds it, and this thread each claim the next undone group, draw it,
-    transform it and write its rows; a call that finds the helper busy, or
-    whose rows fit one group, does every group itself.  So the bits depend on
-    (seed, sqrt_spec, N) alone, never on which thread did a group.  Each
-    thread holds one normals buffer, which the transform then overwrites, and
-    one complex half.
+    On the main thread, with more than one group, the process's helper
+    thread and this thread each claim the next undone group, draw it,
+    transform it and write its rows.  A call on any other thread (an
+    ``mc_risk`` pool worker, say), or whose rows fit one group, does every
+    group itself.  So the bits depend on (seed, sqrt_spec, N) alone, never on
+    which thread did a group.  Each thread holds one normals buffer, which
+    the transform then overwrites, and one complex half.
     """
     rows, half = sqrt_spec.shape
     m = 2 * n_points
@@ -278,18 +271,15 @@ def _sample_rows(seed, sqrt_spec: np.ndarray, n_points: int) -> np.ndarray:
             _paths_from_normals(zg, sqrt_spec[g], h[: g.stop - g.start], zg)
             out[g] = zg[:, :n_points]
 
-    if rows <= size or not _draws_lock.acquire(blocking=False):
+    if rows <= size or threading.current_thread() is not threading.main_thread():
         work()
         return out
+    helper = _draws.submit(work)
     try:
-        helper = _draw_helper().submit(work)
-        try:
-            work()
-        finally:
-            wait([helper])  # it may still be writing into out
-        helper.result()
+        work()
     finally:
-        _draws_lock.release()
+        wait([helper])  # it may still be writing into out
+    helper.result()
     return out
 
 

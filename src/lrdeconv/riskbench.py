@@ -9,6 +9,7 @@ squared L^2 distance exactly.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -116,8 +117,7 @@ def besov_seminorm(coeffs: WaveletCoefficients, ball: BesovBall) -> float:
     if terms.size:
         detail = _lp(terms, ball.q)
         if detail > 0:
-            last = terms[-1] if math.isinf(ball.q) else _lp(terms[-1:], ball.q)
-            if last > 0.01 * detail:
+            if terms[-1] > 0.01 * detail:
                 raise NumericError(
                     "besov_seminorm: top level contributes more than 1% of the norm; "
                     "supply more levels"
@@ -231,7 +231,10 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
     Replicate rep at sample count n uses seed
     SeedSequence(master_seed, spawn_key=(n, rep)), so any execution order
     (or thread count) reproduces identical statistics, and the same n gives
-    the same draws in any grid.
+    the same draws in any grid.  With threads > 1 the replicates run on a
+    pool of that many workers, each drawing all of its replicate's groups of
+    channels itself; with one thread, a call on the main thread shares them
+    with the sampler's helper thread, which serves the main thread only.
     """
     if reps < MIN_REPS:
         raise ConfigError(f"reps must be >= {MIN_REPS}")
@@ -253,8 +256,6 @@ def mc_risk(f: FourierSeries, design_for_n: Callable[[int], ChannelDesign],
             return risk
 
         if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 risks = np.fromiter(pool.map(one_rep, range(reps)), dtype=float, count=reps)
         else:
@@ -290,8 +291,7 @@ def fit_rate(report: RiskReport, regressor: str = "log_nstar") -> tuple[float, f
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     intercept = y.mean() - slope * x.mean()
     resid = y - slope * x - intercept
-    dof = max(len(x) - 2, 1)
-    se = math.sqrt(float(resid @ resid) / dof / sxx)
+    se = math.sqrt(float(resid @ resid) / (len(x) - 2) / sxx)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
     return slope, se, r2

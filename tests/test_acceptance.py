@@ -125,10 +125,10 @@ class TestCriterion2Meyer:
     def test_gram_identity_and_coefficient_bound(self):
         spec = MeyerSpec(3, 7)
         band = 90
-        rows = [periodized_coeff(spec, 3, k, np.arange(-band, band + 1), "scaling")
+        rows = [periodized_coeff(3, k, np.arange(-band, band + 1), "scaling")
                 for k in range(8)]
         for j in range(3, 7):
-            rows.extend(periodized_coeff(spec, j, k, np.arange(-band, band + 1))
+            rows.extend(periodized_coeff(j, k, np.arange(-band, band + 1))
                         for k in range(2 ** j))
         V = np.asarray(rows)
         gram_err = float(np.abs(V @ V.conj().T - np.eye(len(rows))).max())
@@ -137,7 +137,7 @@ class TestCriterion2Meyer:
         for j in range(0, 9):
             members = frequency_set(spec, j).members
             for k in range(2 ** j):
-                vals = np.abs(periodized_coeff(spec, j, k, members))
+                vals = np.abs(periodized_coeff(j, k, members))
                 if not np.all(vals <= 2.0 ** (-j / 2) + 1e-15):
                     bound_ok = False
         ok = gram_err <= 1e-8 and bound_ok

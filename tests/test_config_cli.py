@@ -682,6 +682,26 @@ class TestCliValidation:
                 assert err == "config error: truth band 200 exceeds alias-free band 127\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("ball: {s: 2.0,", "ball: {s: 0.4,", "rate forecast requires s > 1/p'"),
+        ("  nu: 2.0\n", "  nu: 0.0\n", "regular regime requires nu > 0"),
+    ], ids=["s-below-1/p'", "nu-0"])
+    def test_ball_without_a_rate_forecast_exits_1_at_load(self, tmp_path, capsys, old, new,
+                                                          message):
+        # bench builds the forecast of its ball after the dry run, so load builds it too
+        text = (CONFIGS / "boxcar-regular.yaml").read_text()
+        grid = "  n_grid: [16384, 32768, 65536, 131072, 262144, 524288, 1048576]\n"
+        assert grid in text and "  reps: 100\n" in text and old in text
+        path = tmp_path / "no-forecast.yaml"
+        path.write_text(text.replace(grid, "  n_grid: [16384, 32768]\n")
+                        .replace("  reps: 100\n", "  reps: 30\n").replace(old, new))
+        for command in COMMANDS:
+            for dry_run in ([], ["--dry-run"]):
+                code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                             *dry_run])
+                assert (code, *capsys.readouterr()) == (1, "", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_estimation_plan_is_checked_at_load(self, tmp_path, capsys):
         path, out = write_config(tmp_path, SMALL_NSTAR_CONFIG)
         for command in COMMANDS:

@@ -86,34 +86,34 @@ class TestAuxiliary:
 
 class TestClosedForms:
     def test_scaling_normalization(self):
-        assert scaling_ft(SPEC, 0.0) == 1.0
+        assert scaling_ft(0.0) == 1.0
 
     def test_scaling_outside_support(self):
-        assert scaling_ft(SPEC, 3 * math.pi) == 0.0
-        assert scaling_ft(SPEC, -9.0) == 0.0
+        assert scaling_ft(3 * math.pi) == 0.0
+        assert scaling_ft(-9.0) == 0.0
 
     def test_scaling_frozen_value(self):
-        assert scaling_ft(SPEC, 2.5) == pytest.approx(PHI_HAT_2_5, abs=1e-12)
+        assert scaling_ft(2.5) == pytest.approx(PHI_HAT_2_5, abs=1e-12)
 
     def test_wavelet_support(self):
-        assert wavelet_ft(SPEC, math.pi / 4) == 0.0
-        assert wavelet_ft(SPEC, 4 * math.pi) == 0.0
+        assert wavelet_ft(math.pi / 4) == 0.0
+        assert wavelet_ft(4 * math.pi) == 0.0
 
     def test_wavelet_frozen_value(self):
-        assert abs(wavelet_ft(SPEC, 3.0)) == pytest.approx(PSI_ABS_3_0, abs=1e-12)
+        assert abs(wavelet_ft(3.0)) == pytest.approx(PSI_ABS_3_0, abs=1e-12)
 
     def test_partition_of_unity(self):
         # |phi_hat(w)|^2 + sum_{j>=0} |psi_hat(2^-j w)|^2 = 1
         omega = np.linspace(0.05, 8 * math.pi, 500)
-        total = scaling_ft(SPEC, omega) ** 2
+        total = scaling_ft(omega) ** 2
         for j in range(0, 14):
-            total = total + np.abs(wavelet_ft(SPEC, omega / 2 ** j)) ** 2
+            total = total + np.abs(wavelet_ft(omega / 2 ** j)) ** 2
         assert total == pytest.approx(np.ones_like(omega), abs=1e-10)
 
     def test_two_scale_identity(self):
         omega = np.linspace(0.0, 8 * math.pi / 3, 400)
-        lhs = scaling_ft(SPEC, omega) ** 2 + np.abs(wavelet_ft(SPEC, omega)) ** 2
-        assert lhs == pytest.approx(scaling_ft(SPEC, omega / 2) ** 2, abs=1e-12)
+        lhs = scaling_ft(omega) ** 2 + np.abs(wavelet_ft(omega)) ** 2
+        assert lhs == pytest.approx(scaling_ft(omega / 2) ** 2, abs=1e-12)
 
 
 class TestFrequencySets:
@@ -134,16 +134,14 @@ class TestFrequencySets:
     @pytest.mark.parametrize("j", range(0, 7))
     def test_brute_force_scan(self, j):
         scan = [m for m in range(-2 ** (j + 3), 2 ** (j + 3) + 1)
-                if abs(periodized_coeff(SPEC, j, 0, m)) > 1e-14]
+                if abs(periodized_coeff(j, 0, m)) > 1e-14]
         assert list(frequency_set(SPEC, j).members) == scan
 
     def test_needed_band_is_the_widest_member(self):
         # largest |m| with a window above SUPPORT_TOL, scanned level by level
-        spec = MeyerSpec(0, 0)
-
         def widest(j, window):
             m = np.arange(0, 2 ** (j + 2) + 1)
-            return int(m[np.abs(window(spec, 2 * np.pi * m / 2 ** j)) > SUPPORT_TOL].max())
+            return int(m[np.abs(window(2 * np.pi * m / 2 ** j)) > SUPPORT_TOL].max())
 
         scaling = [widest(j, scaling_ft) for j in range(15)]
         detail = [widest(j, wavelet_ft) for j in range(15)]
@@ -215,36 +213,36 @@ class TestPeriodizedCoefficients:
         members = set(frequency_set(SPEC, 3).members.tolist())
         for m in range(-20, 21):
             if m not in members:
-                assert periodized_coeff(SPEC, 3, 1, m) == 0.0
+                assert periodized_coeff(3, 1, m) == 0.0
 
     def test_shift_only_changes_phase(self):
         m = frequency_set(SPEC, 4).members
-        base = np.abs(periodized_coeff(SPEC, 4, 0, m))
+        base = np.abs(periodized_coeff(4, 0, m))
         for k in (1, 7, 15):
-            assert np.abs(periodized_coeff(SPEC, 4, k, m)) == pytest.approx(base, rel=1e-13)
+            assert np.abs(periodized_coeff(4, k, m)) == pytest.approx(base, rel=1e-13)
 
     def test_unit_norm(self):
         m = frequency_set(SPEC, 3).members
-        total = np.sum(np.abs(periodized_coeff(SPEC, 3, 0, m)) ** 2)
+        total = np.sum(np.abs(periodized_coeff(3, 0, m)) ** 2)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("j", range(0, 9))
     def test_magnitude_bound(self, j):
         m = frequency_set(SPEC, j).members
         for k in {0, 2 ** j // 3, 2 ** j - 1}:
-            vals = np.abs(periodized_coeff(SPEC, j, k, m))
+            vals = np.abs(periodized_coeff(j, k, m))
             assert np.all(vals <= 2.0 ** (-j / 2) + 1e-15)
 
     def test_invalid_shift(self):
         with pytest.raises(ConfigError):
-            periodized_coeff(SPEC, 3, 8, 5)
+            periodized_coeff(3, 8, 5)
 
 
 def gram_matrix(spec, band):
-    rows = [periodized_coeff(spec, spec.j0, k, np.arange(-band, band + 1), "scaling")
+    rows = [periodized_coeff(spec.j0, k, np.arange(-band, band + 1), "scaling")
             for k in range(2 ** spec.j0)]
     for j in spec.detail_levels:
-        rows.extend(periodized_coeff(spec, j, k, np.arange(-band, band + 1))
+        rows.extend(periodized_coeff(j, k, np.arange(-band, band + 1))
                     for k in range(2 ** j))
     V = np.asarray(rows)
     return V @ V.conj().T
@@ -265,7 +263,7 @@ class TestAnalysisSynthesis:
     def test_basis_element_reproduces_itself(self):
         band = 90
         j, k = 4, 5
-        values = periodized_coeff(SPEC, j, k, np.arange(-band, band + 1))
+        values = periodized_coeff(j, k, np.arange(-band, band + 1))
         coeffs = analyze(FourierSeries(band, values), SPEC)
         assert coeffs.detail[j][k] == pytest.approx(1.0, abs=1e-9)
         coeffs.detail[j][k] -= 1.0

@@ -1,12 +1,15 @@
-"""The two-thread sampler: with more than one group of rows,
-``noise._sample_rows`` shares the groups between the calling thread and the
-process's one helper thread, each group drawn from its own generator.  It
-gives the bits of a serial loop over the groups at every group layout, with
-the helper free or held, at any block size, and at riskbench threads = 1
-and 2; two model lists of the same length, N and seed use the same normals;
-calls on several threads at once get their serial bits, with one call on the
-helper; the process never holds more than one helper thread; and an error on
-either thread is raised only after the helper has finished."""
+"""The two-thread sampler: with more than one group of rows, a call of
+``noise._sample_rows`` on the main thread shares the groups with the
+process's one helper thread, and a call on any other thread draws them all
+itself; each group is drawn from its own generator.  It gives the bits of a
+serial loop over the groups at every group layout, on the main thread or
+another, at any block size, and at riskbench threads = 1 and 2; two model
+lists of the same length, N and seed use the same normals; calls on several
+threads at once get their serial bits, with only the main thread's call on
+the helper; only the main thread submits to the helper, so ``mc_risk``'s
+pool workers never do; the process never holds more than one helper thread;
+and an error on either thread is raised only after the helper has
+finished."""
 
 import sys
 import threading
@@ -52,6 +55,18 @@ def on_helper() -> bool:
     return threading.current_thread().name.startswith("lrdeconv-draws")
 
 
+def off_main(fn, *args, **kwargs):
+    """fn(*args, **kwargs) on a thread other than the main thread, where the
+    sampler draws every group itself."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args, **kwargs).result(timeout=120)
+
+
+def drawing_thread(*args):
+    """sample_paths(*args) and the thread that called it."""
+    return threading.get_ident(), sample_paths(*args)
+
+
 class Transforms:
     """Stands in for ``noise._paths_from_normals`` and records the thread of
     each call and a copy of its normals.  With ``meet``, the first call on
@@ -88,6 +103,13 @@ def models_for(rows, seed):
             for l in range(rows)]
 
 
+def riskbench_args():
+    """``mc_risk``'s leading arguments for one grid point of M = N = 64."""
+    f = make_test_function("smooth_sine", 3, {"freq": 3})
+    cfg = EstimatorConfig(mu=1.0, nu=2.0)
+    return f, boxcar_linear_design, BlurKernel("boxcar"), cfg, [2 ** 12]
+
+
 LAYOUTS = ("one group", "two groups", "short last group", "one row per group")
 
 
@@ -119,7 +141,7 @@ class TestSameBits:
     @example(layout=(9, 300, 600), seed=1, block=1)  # nine groups of one row
     @example(layout=(7, 64, 3 * 128), seed=2, block=1)  # 3 + 3 + 1 rows
     @example(layout=(2, 256, 512), seed=3, block=1)  # two groups of one row
-    def test_helper_free_or_held_gives_the_serial_bits(self, layout, seed, block):
+    def test_shared_or_inline_gives_the_serial_bits(self, layout, seed, block):
         rows, n_points, points = layout
         models = models_for(rows, seed)
         with mock.patch.object(noise, "_GROUP_POINTS", points):
@@ -127,16 +149,15 @@ class TestSameBits:
             want = serial_sample_paths(models, n_points, seed)
             shared = Transforms(meet=groups > 1)
             with transforms(shared), mock.patch.object(noise, "_BLOCK_POINTS", block):
-                free = sample_paths(models, n_points, seed)
+                main = sample_paths(models, n_points, seed)
             inline = Transforms()
-            with transforms(inline), noise._draws_lock:
-                held = sample_paths(models, n_points, seed)
-        assert bits(free) == bits(want) and bits(held) == bits(want)
-        # both threads take a group, unless the rows fit one group
+            with transforms(inline):
+                caller, other = off_main(drawing_thread, models, n_points, seed)
+        assert bits(main) == bits(want) and bits(other) == bits(want)
+        # on the main thread both threads take a group, unless the rows fit one
         assert len(set(shared.threads)) == (2 if groups > 1 else 1)
-        assert set(inline.threads) == {threading.get_ident()}
+        assert set(inline.threads) == {caller} != {threading.get_ident()}
         assert len(shared.threads) == len(inline.threads) == groups
-        assert not noise._draws_lock.locked()
 
     def test_two_model_lists_use_the_same_normals(self):
         # M = 70, N = 2048: groups of 32 + 32 + 6 rows
@@ -144,22 +165,22 @@ class TestSameBits:
         second = [NoiseModel.fgn(0.9)] * 35 + [NoiseModel.white(2.0)] * 35
         seed = np.random.SeedSequence(18, spawn_key=(2 ** 17, 3))
         spies = [Transforms(), Transforms()]
-        with noise._draws_lock:  # in order, on this thread
+
+        def in_order():
             for models, spy in zip((first, second), spies):
                 with transforms(spy):
                     sample_paths(models, 2048, seed)
+
+        off_main(in_order)  # every group in order, on one thread
         assert [z.shape for z in spies[0].normals] == [(32, 4096), (32, 4096), (6, 4096)]
         assert [bits(z) for z in spies[0].normals] == [bits(z) for z in spies[1].normals]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_riskbench_threads(self, threads):
-        # M = N = 64 in groups of 8 rows
-        f = make_test_function("smooth_sine", 3, {"freq": 3})
-        cfg = EstimatorConfig(mu=1.0, nu=2.0)
-        args = (f, boxcar_linear_design, BlurKernel("boxcar"), cfg, [2 ** 12])
-        with mock.patch.object(noise, "_GROUP_POINTS", 8 * 128):
-            with noise._draws_lock:  # every replicate on its own thread
-                want = mc_risk(*args, reps=30, master_seed=9, threads=1)
+        args = riskbench_args()
+        with mock.patch.object(noise, "_GROUP_POINTS", 8 * 128):  # groups of 8 rows
+            # every group of every replicate on one thread
+            want = off_main(mc_risk, *args, reps=30, master_seed=9, threads=1)
             got = mc_risk(*args, reps=30, master_seed=9, threads=threads)
         assert got.rows == want.rows
 
@@ -174,20 +195,16 @@ def design():
 
 
 class Submissions:
-    """Stands in for ``noise._draw_helper`` and records each call that
-    submitted work to the helper and the future it got; the helper starts
-    ``delay`` seconds late."""
+    """Stands in for ``noise._draws`` and records the thread of each submit
+    and the future it got; the helper starts ``delay`` seconds late."""
 
     def __init__(self, delay=0.0):
-        self.helper, self.delay = noise._draw_helper, delay
+        self.helper, self.delay = noise._draws, delay
         self.futures, self.threads = [], []
-
-    def __call__(self):
-        return self
 
     def submit(self, fn):
         self.threads.append(threading.get_ident())
-        self.futures.append(self.helper().submit(self.late, fn))
+        self.futures.append(self.helper.submit(self.late, fn))
         return self.futures[-1]
 
     def late(self, fn):
@@ -196,7 +213,7 @@ class Submissions:
 
 
 def spying(spy):
-    return mock.patch.object(noise, "_draw_helper", spy)
+    return mock.patch.object(noise, "_draws", spy)
 
 
 class TestThreads:
@@ -206,7 +223,8 @@ class TestThreads:
         with mock.patch.object(noise, "_GROUP_POINTS", POINTS):
             serial = [serial_sample_paths(design, N, seed) for seed in seeds]
             # every call waits before its first transform until all have
-            # started, so one holds the helper while the others work alone
+            # started, so the main thread's call shares its groups with the
+            # helper while the other calls work at the same time
             start = threading.Barrier(threads)
             waited = threading.local()
             transform = noise._paths_from_normals
@@ -219,33 +237,33 @@ class TestThreads:
 
             spy = Submissions()
             with spying(spy), mock.patch.object(noise, "_paths_from_normals", after_all_started), \
-                    ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda seed: (threading.get_ident(),
-                                                      sample_paths(design, N, seed)), seeds,
-                                        timeout=120))
+                    ThreadPoolExecutor(max_workers=threads - 1) as pool:
+                others = [pool.submit(drawing_thread, design, N, seed) for seed in seeds[1:]]
+                results = [drawing_thread(design, N, seeds[0])]
+                results += [future.result(timeout=120) for future in others]
         assert [bits(y) for _, y in results] == [bits(y) for y in serial]
-        callers = {ident for ident, _ in results}
-        assert len(callers) == threads
-        assert len(spy.threads) == 1 and spy.threads[0] in callers  # one call took the helper
-        assert not noise._draws_lock.locked()
+        assert len({ident for ident, _ in results}) == threads
+        assert spy.threads == [threading.get_ident()]  # the main thread's call alone
 
     def test_one_helper_thread_after_many_calls(self, design):
-        # 50 calls on more threads than cores, switching threads often
+        # 20 calls on the main thread beside 30 on three others, switching
+        # threads often
         seeds = [np.random.SeedSequence(12, spawn_key=(k,)) for k in range(50)]
         spy = Submissions()
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with mock.patch.object(noise, "_GROUP_POINTS", POINTS), spying(spy), \
-                    ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(lambda seed: sample_paths(design, N, seed), seeds,
-                                        timeout=120))
+                    ThreadPoolExecutor(max_workers=3) as pool:
+                others = [pool.submit(sample_paths, design, N, seed) for seed in seeds[20:]]
+                results = [sample_paths(design, N, seed) for seed in seeds[:20]]
+                results += [future.result(timeout=120) for future in others]
         finally:
             sys.setswitchinterval(old)
         with mock.patch.object(noise, "_GROUP_POINTS", POINTS):
             want = [serial_sample_paths(design, N, seed) for seed in seeds]
         assert [bits(y) for y in results] == [bits(y) for y in want]
-        assert spy.futures and not noise._draws_lock.locked()
+        assert spy.threads == [threading.get_ident()] * 20
         helpers = [t for t in threading.enumerate() if t.name.startswith("lrdeconv-draws")]
         assert len(helpers) == 1
 
@@ -259,7 +277,37 @@ class TestThreads:
             with transforms(failing), pytest.raises(FloatingPointError):
                 sample_paths(design, N, 13)
             assert len(spy.futures) == 1 and spy.futures[0].done()
-            assert not noise._draws_lock.locked()
             got = sample_paths(design, N, 14)
             assert len(spy.futures) == 2  # the next call shares its groups
             assert bits(got) == bits(serial_sample_paths(design, N, 14))
+
+
+class TestOneOwner:
+    """Only the main thread submits to the helper."""
+
+    def test_a_call_off_the_main_thread_never_submits(self, design):
+        spy = Submissions()
+        with mock.patch.object(noise, "_GROUP_POINTS", POINTS), spying(spy):
+            got = off_main(sample_paths, design, N, 15)
+            plain = []
+            worker = threading.Thread(target=lambda: plain.append(sample_paths(design, N, 15)))
+            worker.start()
+            worker.join(timeout=120)
+            want = serial_sample_paths(design, N, 15)
+        assert spy.threads == []
+        assert bits(got) == bits(plain[0]) == bits(want)
+
+    @staticmethod
+    def mc_risk_submitters(threads):
+        """The thread of each submit of a 30-replicate ``mc_risk`` in groups of
+        8 rows."""
+        spy = Submissions()
+        with mock.patch.object(noise, "_GROUP_POINTS", 8 * 128), spying(spy):
+            mc_risk(*riskbench_args(), reps=30, master_seed=9, threads=threads)
+        return spy.threads
+
+    def test_mc_risk_on_a_pool_never_submits(self):
+        assert self.mc_risk_submitters(2) == []
+
+    def test_mc_risk_on_the_main_thread_submits_once_per_replicate(self):
+        assert self.mc_risk_submitters(1) == [threading.get_ident()] * 30
